@@ -296,6 +296,9 @@ class _PoolBase:
         # (worker label, registry dict) pairs shipped by workers after
         # _STOP; filled as messages pass through check_failure()/receive().
         self.telemetry_payloads: List[Tuple[str, Dict]] = []
+        # Indices of workers whose _STOP is queued: a clean exit by one of
+        # them is the end of its stream, not a crash.
+        self._stopped: set = set()
 
     def _spawn(self, context, target, per_worker_args) -> None:
         self.processes = [
@@ -312,16 +315,17 @@ class _PoolBase:
     def check_alive(self, strict: bool = False) -> None:
         """Raise if a worker died; *strict* also rejects clean exits.
 
-        A clean (exit code 0) worker death is only legal after ``_STOP``;
-        a feeder still delivering work treats it as a failure too.
+        A clean (exit code 0) worker death is only legal after that
+        worker's own ``_STOP``; a feeder still delivering work treats any
+        other clean exit as a failure too.
         """
-        for process in self.processes:
+        for index, process in enumerate(self.processes):
             if process.is_alive():
                 continue
             if process.exitcode not in (0, None):
                 raise RuntimeError(
                     f"streaming worker died with exit code {process.exitcode}")
-            if strict:
+            if strict and index not in self._stopped:
                 raise RuntimeError(
                     "streaming worker exited before the end of the stream")
 
@@ -361,7 +365,11 @@ class _PoolBase:
             self.put(in_queue, item)
 
     def send_stop(self) -> None:
-        self.broadcast(_STOP)
+        # Worker i may exit cleanly as soon as its _STOP is queued, while
+        # the broadcast still waits on a full queue further along.
+        for index, in_queue in enumerate(self.in_queues):
+            self.put(in_queue, _STOP)
+            self._stopped.add(index)
 
     # ---------------- receiving ---------------- #
     def receive(self, block: bool):

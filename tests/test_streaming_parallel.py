@@ -304,6 +304,62 @@ class TestParallelEdgeCases:
         assert "last-processed chunk none" in str(excinfo.value)
 
 
+class _FullOnce:
+    """A worker input queue that reports Full exactly once.
+
+    Before reporting Full it runs *on_full* — the test's chance to put the
+    pool in a chosen state at the precise moment the driver starts
+    waiting on this queue; later puts go to the real queue.
+    """
+
+    def __init__(self, real, on_full):
+        self._real = real
+        self._on_full = on_full
+
+    def put_nowait(self, item):
+        if self._on_full is not None:
+            on_full, self._on_full = self._on_full, None
+            on_full()
+            raise parallel.queue_module.Full
+        self._real.put_nowait(item)
+
+
+class TestShutdownProtocol:
+    """The _STOP broadcast races workers that already took their own _STOP."""
+
+    def _pool(self):
+        chunk = _tiny_chunks(n_chunks=1)[0]
+        return parallel._ShardWorkerPool(
+            StreamingConfig(), 2, 1, 0.01, multiprocessing.get_context(),
+            parallel.chunk_slot_bytes(chunk))
+
+    def test_clean_exit_after_own_stop_is_legal(self):
+        # Worker 0 has taken its _STOP and exited 0 by the time the
+        # broadcast finds worker 1's queue_depth=1 queue full.
+        pool = self._pool()
+        pool.in_queues[1] = _FullOnce(pool.in_queues[1],
+                                      lambda: pool.processes[0].join())
+        try:
+            pool.send_stop()
+        finally:
+            pool.shutdown()
+        assert [p.exitcode for p in pool.processes] == [0, 0]
+
+    def test_abnormal_exit_during_stop_broadcast_still_raises(self):
+        pool = self._pool()
+
+        def kill_worker_1():
+            pool.processes[1].terminate()
+            pool.processes[1].join()
+
+        pool.in_queues[1] = _FullOnce(pool.in_queues[1], kill_worker_1)
+        try:
+            with pytest.raises(RuntimeError, match="exit code"):
+                pool.send_stop()
+        finally:
+            pool.shutdown(force=True)
+
+
 class TestWorkerSupervisor:
     def test_policy_validation(self, live_config):
         from repro.streaming import WorkerSupervisor
