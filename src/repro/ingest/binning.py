@@ -77,7 +77,12 @@ class FlowRecordBinner:
         (:meth:`finish` then closes at the high-water bin).
     lateness_bins:
         How many bins the high-water mark must advance past a bin before
-        it is sealed — the tolerance for out-of-order records.
+        it is sealed — the tolerance for out-of-order records.  At ``0``
+        a batch that ends inside a bin may seal that bin (when it
+        completes a chunk), so the rest of its records, in the next
+        batch, are dropped as late even from an in-order export; the
+        default ``1`` keeps the high-water bin open until a record of a
+        later bin arrives.
     start_bin:
         Resume point: bins below it are neither buffered nor emitted
         (their records count as ``skipped``), and the first chunk starts
@@ -99,7 +104,7 @@ class FlowRecordBinner:
         bin_seconds: int = 300,
         start_seconds: float = 0.0,
         n_bins: Optional[int] = None,
-        lateness_bins: int = 0,
+        lateness_bins: int = 1,
         start_bin: int = 0,
         inverse_rate: float = 1.0,
         registry=None,

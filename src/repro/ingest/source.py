@@ -47,7 +47,10 @@ class IngestConfig:
         ``None`` leaves the end open — it is determined by the data.
     lateness_bins:
         Watermark slack for out-of-order records: a bin seals only once
-        the high-water bin is this far past it.
+        the high-water bin is this far past it.  The default ``1`` is the
+        least that is lossless for an in-order export, whose parse
+        batches may end inside a bin; at ``0`` such a bin can seal early
+        and the rest of its records are dropped as late.
     batch_rows:
         CSV rows per vectorized parse batch.
     on_bad_row:
@@ -70,7 +73,7 @@ class IngestConfig:
     bin_seconds: int = 300
     start_seconds: float = 0.0
     n_bins: Optional[int] = None
-    lateness_bins: int = 0
+    lateness_bins: int = 1
     batch_rows: int = 8192
     on_bad_row: str = "skip"
     engine: str = "auto"

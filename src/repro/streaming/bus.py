@@ -31,7 +31,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -318,9 +318,3 @@ class ChunkBusReader:
             return
         self._closed = True
         self._segment.close()
-
-
-def descriptor_matrices(views: Dict[str, np.ndarray],
-                        traffic_types: Sequence[str]) -> List[np.ndarray]:
-    """The mapped views in *traffic_types* order (driver convenience)."""
-    return [views[t] for t in traffic_types]

@@ -35,7 +35,11 @@ from repro.core.identification import identify_spe_flows, identify_t2_flows
 from repro.core.limits import ControlLimits, T2Scaling, control_limits
 from repro.flows.timeseries import TrafficType
 from repro.streaming.adaptive_limits import AdaptiveControlLimits
-from repro.streaming.config import StreamingConfig
+from repro.streaming.config import (
+    RETIRED_ENGINE_KIND,
+    RETIRED_ENGINE_MESSAGE,
+    StreamingConfig,
+)
 from repro.streaming.online_pca import OnlinePCA
 from repro.utils.validation import ensure_2d, require
 
@@ -44,16 +48,12 @@ __all__ = ["SubspaceSnapshot", "StreamDetection", "ChunkDetections",
 
 
 def make_engine(config: StreamingConfig):
-    """The moment engine a config asks for: exact, sharded, or low-rank."""
+    """The moment engine a config asks for: exact or low-rank."""
     if config.engine == "lowrank":
         from repro.streaming.low_rank import LowRankEigenTracker
         return LowRankEigenTracker(rank=config.n_normal + config.rank_slack,
                                    forgetting=config.forgetting,
                                    drift_tolerance=config.drift_tolerance)
-    if config.n_shards > 1:
-        from repro.streaming.sharding import ShardedOnlinePCA
-        return ShardedOnlinePCA(n_shards=config.n_shards,
-                                forgetting=config.forgetting)
     return OnlinePCA(forgetting=config.forgetting)
 
 
@@ -264,10 +264,10 @@ class StreamingSubspaceDetector:
     def engine(self):
         """The underlying running-moments engine.
 
-        An :class:`OnlinePCA` by default, or a
-        :class:`~repro.streaming.sharding.ShardedOnlinePCA` when the config
-        (or an explicit ``engine=`` argument) asks for column sharding —
-        both expose the same accessor/serialization surface.
+        An :class:`OnlinePCA` by default, a
+        :class:`~repro.streaming.low_rank.LowRankEigenTracker` when the
+        config asks for ``engine="lowrank"``, or whatever an explicit
+        ``engine=`` argument supplied.
         """
         return self._engine
 
@@ -572,11 +572,11 @@ class StreamingSubspaceDetector:
                    arrays: Mapping[str, np.ndarray]) -> "StreamingSubspaceDetector":
         """Rebuild a detector that resumes the stream mid-flight."""
         from repro.streaming.low_rank import LowRankEigenTracker
-        from repro.streaming.sharding import ShardedOnlinePCA
         engine_kinds = {OnlinePCA.STATE_KIND: OnlinePCA,
-                        ShardedOnlinePCA.STATE_KIND: ShardedOnlinePCA,
                         LowRankEigenTracker.STATE_KIND: LowRankEigenTracker}
         engine_meta = meta["engine"]
+        require(engine_meta["kind"] != RETIRED_ENGINE_KIND,
+                RETIRED_ENGINE_MESSAGE)
         try:
             engine_cls = engine_kinds[engine_meta["kind"]]
         except KeyError:

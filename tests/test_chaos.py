@@ -41,16 +41,12 @@ from repro.telemetry import (HealthSnapshot, MetricsRegistry,
 
 CHUNK = 48
 SEED = 11
+CONFIG = StreamingConfig(min_train_bins=128, recalibrate_every_bins=32)
 
 
 @pytest.fixture(scope="module")
 def dataset():
     return generate_abilene_dataset(DatasetConfig(weeks=2.0 / 7.0), seed=SEED)
-
-
-def _shard_config():
-    return StreamingConfig(min_train_bins=128, recalibrate_every_bins=32,
-                           parallel_mode="shard")
 
 
 def _preserve_quarantine(checkpoint_dir):
@@ -65,14 +61,13 @@ def _preserve_quarantine(checkpoint_dir):
 
 class TestWorkerKill:
     def test_supervised_restart_is_event_identical(self, dataset, tmp_path):
-        config = _shard_config()
         source = ChunkedSeriesSource(dataset.series, CHUNK)
-        baseline = parallel_stream_detect(source, config, n_workers=2)
+        baseline = parallel_stream_detect(source, CONFIG, n_workers=2)
 
         plan = FaultPlan().kill_worker(at_chunk=8, worker=0)
         registry = MetricsRegistry()
         supervisor = WorkerSupervisor(
-            config, source, n_workers=2,
+            CONFIG, source, n_workers=2,
             checkpoint_dir=tmp_path / "ckpt", checkpoint_every_chunks=3,
             max_restarts=2, backoff_base=0.0, sleep=lambda seconds: None,
             registry=registry, fault_hook=plan.hook)
@@ -94,14 +89,13 @@ class TestWorkerKill:
         assert "repro_degraded 1.0" in exposition
 
     def test_restart_budget_exhaustion_escalates(self, dataset, tmp_path):
-        config = _shard_config()
         source = ChunkedSeriesSource(dataset.series, CHUNK)
         plan = (FaultPlan()
                 .kill_worker(at_chunk=4, worker=0)
                 .kill_worker(at_chunk=6, worker=1)
                 .kill_worker(at_chunk=8, worker=0))
         supervisor = WorkerSupervisor(
-            config, source, n_workers=2,
+            CONFIG, source, n_workers=2,
             checkpoint_dir=tmp_path / "ckpt", checkpoint_every_chunks=3,
             max_restarts=1, backoff_base=0.0, sleep=lambda seconds: None,
             fault_hook=plan.hook)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.flows.aggregation import aggregate_records
 from repro.flows.timeseries import TrafficType
-from repro.ingest import FlowRecordBinner
+from repro.ingest import FlowRecordBinner, IngestConfig
 from repro.ingest.csv_io import RecordBatch
 from repro.routing.resolver import PoPResolver
 from repro.telemetry import MetricsRegistry
@@ -89,6 +89,34 @@ def _stacked(chunks, traffic_type):
 
 
 class TestByteParity:
+    def test_default_watermark_keeps_bins_split_across_batches(
+            self, window_records, resolver, od_pairs):
+        # An in-order export whose parse batches end mid-bin: under the
+        # default ingest config no record may be dropped as late.
+        window, records = window_records
+        binning = window.binning
+        records = sorted(records, key=lambda record: record.start_time)
+        resolved, _ = resolver.resolve_records(records)
+        direct = aggregate_records(resolved, od_pairs, binning)
+
+        binner = FlowRecordBinner(
+            resolver, od_pairs, chunk_size=4,
+            bin_seconds=binning.bin_seconds,
+            start_seconds=binning.start_seconds,
+            n_bins=binning.n_bins,
+            lateness_bins=IngestConfig().lateness_bins)
+        chunks = []
+        for start in range(0, len(records), 101):
+            chunks.extend(binner.add_batch(
+                _batch_from_records(records[start:start + 101])))
+        chunks.extend(binner.finish())
+
+        assert binner.stats.late_records == 0
+        for traffic_type in (TrafficType.BYTES, TrafficType.PACKETS,
+                             TrafficType.FLOWS):
+            assert np.array_equal(_stacked(chunks, traffic_type),
+                                  direct.matrix(traffic_type)), traffic_type
+
     def test_binner_matches_flow_aggregator_bitwise(
             self, window_records, resolver, od_pairs):
         window, records = window_records

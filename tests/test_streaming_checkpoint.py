@@ -123,30 +123,48 @@ class TestCheckpointRoundtrip:
         restored = StreamingNetworkDetector.restore(tmp_path / "ckpt")
         resume_bin = restored.detector(TrafficType.BYTES).bins_processed
         assert resume_bin == split * CHUNK
-        suffix = small_dataset.series.window(resume_bin,
-                                             small_dataset.series.n_bins)
-        source = ChunkedSeriesSource(suffix, CHUNK, start_bin=resume_bin)
-        for chunk in source:
+        source = ChunkedSeriesSource(small_dataset.series, CHUNK)
+        for chunk in source.resume(resume_bin):
             restored.process_chunk(chunk)
         report = restored.finish()
         assert event_parity(uninterrupted.events, report.events).exact
 
-    def test_sharded_checkpoint_roundtrip(self, small_dataset, tmp_path):
-        config = StreamingConfig(min_train_bins=128,
-                                 recalibrate_every_bins=32, n_shards=4)
-        chunks = _chunks(small_dataset)
-        full = stream_detect(iter(chunks), config)
 
-        detector = StreamingNetworkDetector(config)
-        for chunk in chunks[:4]:
+class TestRetiredConfigKeys:
+    """Checkpoints written while the config still carried ``n_shards`` and
+    ``parallel_mode`` (the state below is that shape, built by hand)."""
+
+    def _pre_retirement_state(self, small_dataset, live_config, **retired):
+        detector = StreamingNetworkDetector(live_config)
+        for chunk in _chunks(small_dataset)[:4]:
             detector.process_chunk(chunk)
-        detector.save(tmp_path / "ckpt")
-        restored = StreamingNetworkDetector.restore(tmp_path / "ckpt")
-        engine = restored.detector(TrafficType.BYTES).engine
-        assert engine.n_shards == 4
-        for chunk in chunks[4:]:
+        state = detector.state_dict()
+        state["meta"]["config"].update(retired)
+        return state
+
+    def test_single_shard_state_keeps_loading(self, small_dataset,
+                                              live_config, uninterrupted):
+        state = self._pre_retirement_state(
+            small_dataset, live_config, n_shards=1, parallel_mode="type")
+        restored = StreamingNetworkDetector.from_state(**state)
+        assert restored.config == live_config
+        for chunk in _chunks(small_dataset)[4:]:
             restored.process_chunk(chunk)
-        assert event_parity(full.events, restored.finish().events).exact
+        assert event_parity(uninterrupted.events,
+                            restored.finish().events).exact
+
+    def test_column_sharded_state_names_the_retired_engine(
+            self, small_dataset, live_config):
+        state = self._pre_retirement_state(
+            small_dataset, live_config, n_shards=4, parallel_mode="shard")
+        with pytest.raises(ValueError, match="column-sharded"):
+            StreamingNetworkDetector.from_state(**state)
+        state = self._pre_retirement_state(small_dataset, live_config,
+                                           n_shards=1)
+        for detector_meta in state["meta"]["detectors"].values():
+            detector_meta["engine"]["kind"] = "sharded_online_pca"
+        with pytest.raises(ValueError, match="column-sharded"):
+            StreamingNetworkDetector.from_state(**state)
 
 
 class TestAggregatorStateAcrossBoundary:

@@ -22,7 +22,6 @@ from repro.evaluation import event_parity, report_parity
 from repro.streaming import (
     LowRankEigenTracker,
     OnlinePCA,
-    ShardedOnlinePCA,
     StreamingConfig,
     StreamingNetworkDetector,
     StreamingSubspaceDetector,
@@ -222,8 +221,6 @@ class TestRankEdgeCases:
             StreamingConfig(engine="svd")
         with pytest.raises(ValueError, match="drift_tolerance"):
             StreamingConfig(engine="lowrank", drift_tolerance=-1.0)
-        with pytest.raises(ValueError, match="sharding"):
-            StreamingConfig(engine="lowrank", n_shards=2)
         with pytest.raises(ValueError, match="rank"):
             LowRankEigenTracker(rank=0)
 
@@ -346,23 +343,6 @@ class TestCompressEngine:
         assert tracker.weight_sum == exact.weight_sum
         assert tracker.n_bins_seen == exact.n_bins_seen
 
-    def test_compress_sharded_engine_then_continue_streaming(self):
-        """The sharding interop: ingest sharded exactly, compress, continue."""
-        rng = np.random.default_rng(19)
-        matrix = _signal_stream(rng, 140, 24)
-        sharded = ShardedOnlinePCA(n_shards=3)
-        reference = LowRankEigenTracker(rank=10)
-        sharded.partial_fit(matrix[:100])
-        reference.partial_fit(matrix[:100])
-        tracker = compress_engine(sharded, rank=10)
-        tracker.partial_fit(matrix[100:])
-        reference.partial_fit(matrix[100:])
-        values, axes = tracker.eigenbasis()
-        ref_values, ref_axes = reference.eigenbasis()
-        assert _max_sin_angle(ref_axes, axes, 4) < MAX_SIN_ANGLE
-        np.testing.assert_allclose(values[:SIGNAL_RANK],
-                                   ref_values[:SIGNAL_RANK], rtol=1e-7)
-
     def test_compress_rejects_empty_engine(self):
         with pytest.raises(ValueError, match="no data"):
             compress_engine(OnlinePCA(), rank=4)
@@ -371,8 +351,6 @@ class TestCompressEngine:
 class TestDetectorIntegration:
     def test_make_engine_dispatch(self):
         assert isinstance(make_engine(StreamingConfig()), OnlinePCA)
-        assert isinstance(make_engine(StreamingConfig(n_shards=3)),
-                          ShardedOnlinePCA)
         engine = make_engine(StreamingConfig(engine="lowrank", n_normal=4,
                                              rank_slack=5))
         assert isinstance(engine, LowRankEigenTracker)

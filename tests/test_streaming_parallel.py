@@ -55,17 +55,11 @@ class TestParallelParity:
 
     def test_minimal_queue_depth_backpressure(self, small_dataset,
                                               live_config, baseline_report):
+        # Three workers, each control queue one message deep: every chunk
+        # and collect message waits on the slowest shard.
         report = parallel_stream_detect(
             chunk_series(small_dataset.series, CHUNK), live_config,
             n_workers=3, queue_depth=1)
-        assert event_parity(baseline_report.events, report.events).exact
-
-    def test_sharded_engines_inside_workers(self, small_dataset,
-                                            baseline_report):
-        config = StreamingConfig(min_train_bins=128,
-                                 recalibrate_every_bins=32, n_shards=4)
-        report = parallel_stream_detect(
-            chunk_series(small_dataset.series, CHUNK), config, n_workers=3)
         assert event_parity(baseline_report.events, report.events).exact
 
     def test_single_traffic_type_subset(self, small_dataset, live_config):
@@ -92,26 +86,20 @@ class TestParallelParity:
 
 
 class TestShardParallelParity:
-    """mode="shard": K workers each own a column shard of every detector."""
+    """K workers each own a column shard of every detector."""
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_shard_worker_counts_reproduce_event_list(
             self, small_dataset, live_config, baseline_report, n_workers):
+        # Spawned workers start from a fresh import: everything they use
+        # must reach them pickled, with no state inherited from a fork.
         report = parallel_stream_detect(
             chunk_series(small_dataset.series, CHUNK), live_config,
-            n_workers=n_workers, mode="shard")
+            n_workers=n_workers, mp_context="spawn")
         parity = event_parity(baseline_report.events, report.events)
         assert parity.exact, parity.to_dict()
         full = report_parity(baseline_report, report)
         assert all(full["equal"].values()), full["equal"]
-
-    def test_mode_defaults_from_config(self, small_dataset, baseline_report):
-        config = StreamingConfig(min_train_bins=128,
-                                 recalibrate_every_bins=32,
-                                 parallel_mode="shard")
-        report = parallel_stream_detect(
-            chunk_series(small_dataset.series, CHUNK), config, n_workers=2)
-        assert event_parity(baseline_report.events, report.events).exact
 
     def test_tight_bus_and_queue_backpressure(self, small_dataset,
                                               live_config, baseline_report):
@@ -119,7 +107,7 @@ class TestShardParallelParity:
                                      poll_seconds=0.05)
         report = parallel_stream_detect(
             chunk_series(small_dataset.series, CHUNK), config,
-            n_workers=2, queue_depth=1, mode="shard")
+            n_workers=2, queue_depth=1)
         assert event_parity(baseline_report.events, report.events).exact
 
     def test_more_workers_than_od_flows(self, live_config):
@@ -130,15 +118,14 @@ class TestShardParallelParity:
             for i in range(8)]
         config = StreamingConfig(min_train_bins=64, recalibrate_every_bins=32)
         baseline = stream_detect(chunks, config)
-        report = parallel_stream_detect(chunks, config, n_workers=6,
-                                        mode="shard")
+        report = parallel_stream_detect(chunks, config, n_workers=6)
         full = report_parity(baseline, report)
         assert all(full["equal"].values()), full["equal"]
 
     def test_lowrank_engine_is_rejected(self, live_config):
         config = StreamingConfig(engine="lowrank")
         with pytest.raises(ValueError, match="exact scatter"):
-            parallel_stream_detect(iter(()), config, mode="shard")
+            parallel_stream_detect(iter(()), config)
 
     def test_distributed_checkpoint_restores_as_flat_detector(
             self, small_dataset, live_config, baseline_report, tmp_path):
@@ -148,7 +135,7 @@ class TestShardParallelParity:
         chunks = list(chunk_series(small_dataset.series, CHUNK))
         every = 5
         parallel_stream_detect(iter(chunks), live_config, n_workers=2,
-                               mode="shard", checkpoint_dir=tmp_path,
+                               checkpoint_dir=tmp_path,
                                checkpoint_every_chunks=every)
         restored = StreamingNetworkDetector.restore(tmp_path)
         resume_from = (len(chunks) // every) * every
@@ -161,13 +148,9 @@ class TestShardParallelParity:
         full = report_parity(baseline_report, report)
         assert all(full["equal"].values()), full["equal"]
 
-    def test_checkpoint_requires_shard_mode(self, live_config, tmp_path):
-        with pytest.raises(ValueError, match="mode='shard'"):
-            parallel_stream_detect(iter(()), live_config, mode="type",
-                                   checkpoint_dir=tmp_path,
-                                   checkpoint_every_chunks=2)
+    def test_checkpoint_arguments_go_together(self, live_config, tmp_path):
         with pytest.raises(ValueError, match="go together"):
-            parallel_stream_detect(iter(()), live_config, mode="shard",
+            parallel_stream_detect(iter(()), live_config,
                                    checkpoint_dir=tmp_path)
 
 
@@ -182,18 +165,31 @@ def _crashing_worker(*args):
     os._exit(3)
 
 
-class _ExplodingDetector:
+class _ExplodingMoments:
     def __init__(self, *args, **kwargs):
         raise RuntimeError("instrumented crash before any chunk")
 
 
-_REAL_TYPE_WORKER = parallel._type_worker
+class _ExplodingOnSecondChunk(parallel.ShardWorkerMoments):
+    def partial_fit(self, matrix):
+        if self.n_bins_seen:
+            raise RuntimeError("instrumented crash on the second chunk")
+        return super().partial_fit(matrix)
+
+
+_REAL_SHARD_WORKER = parallel._shard_worker
 
 
 def _crashing_on_first(*args):
-    """The real type worker, with detector construction exploding."""
-    parallel.StreamingSubspaceDetector = _ExplodingDetector
-    _REAL_TYPE_WORKER(*args)
+    """The real shard worker, with moment construction exploding."""
+    parallel.ShardWorkerMoments = _ExplodingMoments
+    _REAL_SHARD_WORKER(*args)
+
+
+def _crashing_on_second(*args):
+    """The real shard worker, failing once its first chunk is done."""
+    parallel.ShardWorkerMoments = _ExplodingOnSecondChunk
+    _REAL_SHARD_WORKER(*args)
 
 
 class TestWorkerFailurePaths:
@@ -201,30 +197,25 @@ class TestWorkerFailurePaths:
 
     fast = StreamingConfig(min_train_bins=64, poll_seconds=0.05)
 
-    @pytest.mark.parametrize("mode,target",
-                             [("type", "_type_worker"),
-                              ("shard", "_shard_worker")])
-    def test_worker_crash_propagates_promptly(self, monkeypatch, mode,
-                                              target):
-        monkeypatch.setattr(parallel, target, _crashing_worker)
+    def test_worker_crash_propagates_promptly(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_shard_worker", _crashing_worker)
         started = time.monotonic()
         with pytest.raises(RuntimeError,
                            match="exit code 3|exited before the end"):
-            parallel_stream_detect(_tiny_chunks(), self.fast, n_workers=2,
-                                   mode=mode)
+            parallel_stream_detect(_tiny_chunks(), self.fast, n_workers=2)
         # Sentinel wakeup, not the old 1 s poll: the death is noticed fast.
         assert time.monotonic() - started < 10.0
         assert multiprocessing.active_children() == []
 
     def test_bounded_queues_throttle_a_slow_worker(self, monkeypatch):
         gate = multiprocessing.Event()
-        real_worker = parallel._type_worker
+        real_worker = parallel._shard_worker
 
         def gated_worker(*args):
             gate.wait()
             real_worker(*args)
 
-        monkeypatch.setattr(parallel, "_type_worker", gated_worker)
+        monkeypatch.setattr(parallel, "_shard_worker", gated_worker)
         config = dataclasses.replace(self.fast, bus_slots=2)
         pulled = []
 
@@ -236,7 +227,7 @@ class TestWorkerFailurePaths:
         result = {}
         thread = threading.Thread(
             target=lambda: result.update(report=parallel_stream_detect(
-                counting_chunks(), config, queue_depth=1)),
+                counting_chunks(), config, n_workers=2, queue_depth=1)),
             daemon=True)
         thread.start()
         time.sleep(1.0)
@@ -249,16 +240,14 @@ class TestWorkerFailurePaths:
         assert not thread.is_alive()
         assert result["report"].n_chunks_processed == 12
 
-    @pytest.mark.parametrize("mode", ["type", "shard"])
-    def test_source_failure_shuts_workers_down(self, mode):
+    def test_source_failure_shuts_workers_down(self):
         def failing_source():
             for chunk in _tiny_chunks(n_chunks=3):
                 yield chunk
             raise ValueError("source exploded")
 
         with pytest.raises(ValueError, match="source exploded"):
-            parallel_stream_detect(failing_source(), self.fast, n_workers=2,
-                                   mode=mode)
+            parallel_stream_detect(failing_source(), self.fast, n_workers=2)
         assert multiprocessing.active_children() == []
 
 
@@ -277,30 +266,30 @@ class TestParallelEdgeCases:
         with pytest.raises(ValueError):
             parallel_stream_detect(iter(()), StreamingConfig(identify=False))
 
-    def test_worker_failure_propagates(self, live_config):
-        rng = np.random.default_rng(0)
-        good = TrafficChunk(start_bin=0, matrices={
-            TrafficType.BYTES: rng.random((16, 9)) + 1.0})
-        bad = TrafficChunk(start_bin=16, matrices={
-            TrafficType.BYTES: rng.random((16, 5)) + 1.0})  # wrong p
+    def test_worker_failure_propagates(self, live_config, monkeypatch):
+        # The crash comes after the last collect barrier (there is none:
+        # the stream ends in warmup), so only shutdown can surface it.
+        monkeypatch.setattr(parallel, "_shard_worker", _crashing_on_second)
         with pytest.raises(RuntimeError,
                            match="streaming worker failed") as excinfo:
-            parallel_stream_detect([good, bad], live_config)
+            parallel_stream_detect(_tiny_chunks(n_chunks=2), live_config,
+                                   n_workers=1)
         # The forwarded traceback identifies the failing worker and how far
         # it got, so a crash in a long run is attributable from the message.
         text = str(excinfo.value)
-        assert "worker type-0" in text
-        assert "types bytes" in text
+        assert "worker shard-0" in text
+        assert "shard 0/1" in text
         assert "last-processed chunk 0" in text
+        assert "instrumented crash on the second chunk" in text
 
     def test_worker_failure_before_any_chunk(self, live_config, monkeypatch):
-        monkeypatch.setattr(parallel, "_type_worker", _crashing_on_first)
+        monkeypatch.setattr(parallel, "_shard_worker", _crashing_on_first)
         rng = np.random.default_rng(0)
         chunk = TrafficChunk(start_bin=0, matrices={
             TrafficType.BYTES: rng.random((16, 9)) + 1.0})
         with pytest.raises(RuntimeError,
                            match="streaming worker failed") as excinfo:
-            parallel_stream_detect([chunk], live_config)
+            parallel_stream_detect([chunk], live_config, n_workers=2)
         assert "last-processed chunk none" in str(excinfo.value)
 
 
@@ -363,13 +352,12 @@ class TestShutdownProtocol:
 class TestWorkerSupervisor:
     def test_policy_validation(self, live_config):
         from repro.streaming import WorkerSupervisor
-        factory = lambda resume_bin: iter(())  # noqa: E731
         with pytest.raises(ValueError):
-            WorkerSupervisor(live_config, factory, max_restarts=-1)
+            WorkerSupervisor(live_config, [], max_restarts=-1)
         with pytest.raises(ValueError):
-            WorkerSupervisor(live_config, factory, backoff_factor=0.5)
+            WorkerSupervisor(live_config, [], backoff_factor=0.5)
         with pytest.raises(ValueError):
-            WorkerSupervisor(live_config, factory, jitter=-0.1)
+            WorkerSupervisor(live_config, [], jitter=-0.1)
 
     def test_backoff_schedule_is_seeded_and_exponential(self, live_config):
         from repro.streaming import WorkerSupervisor
@@ -388,47 +376,34 @@ class TestWorkerSupervisor:
             assert base <= delay <= base * 1.5
         assert first[0] < first[1] < first[2] < first[3]
 
+    def test_clean_shutdown_is_not_a_restart(self, live_config):
+        from repro.streaming import WorkerSupervisor
+        chunks = _tiny_chunks()
+        supervisor = WorkerSupervisor(live_config, chunks, n_workers=2,
+                                      max_restarts=1,
+                                      sleep=lambda seconds: None)
+        report = supervisor.run()
+        assert supervisor.restarts == 0
+        assert supervisor.degraded is False
+        assert supervisor.registry.value("worker_restarts") == 0
+        assert report.n_chunks_processed == len(chunks)
+
     def test_zero_budget_reproduces_fail_fast(self, small_dataset,
                                               live_config, tmp_path):
         from repro.faults import FaultPlan
         from repro.streaming import WorkerSupervisor
-        config = dataclasses.replace(live_config, parallel_mode="shard")
         from repro.streaming import ChunkedSeriesSource
         source = ChunkedSeriesSource(small_dataset.series, CHUNK)
 
         plan = FaultPlan().kill_worker(at_chunk=3, worker=0)
         supervisor = WorkerSupervisor(
-            config, source, n_workers=2, checkpoint_dir=tmp_path / "ckpt",
+            live_config, source, n_workers=2, checkpoint_dir=tmp_path / "ckpt",
             checkpoint_every_chunks=2, max_restarts=0,
             sleep=lambda seconds: None, fault_hook=plan.hook)
         with pytest.raises(RuntimeError):
             supervisor.run()
         assert supervisor.restarts == 0
         assert supervisor.degraded is False
-
-    def test_type_mode_restart_replays_from_start(self, small_dataset,
-                                                  live_config,
-                                                  baseline_report):
-        from repro.faults import FaultPlan
-        from repro.streaming import WorkerSupervisor
-        series = small_dataset.series
-
-        def factory(resume_bin):
-            assert resume_bin == 0  # no type-mode checkpoints: full replay
-            return chunk_series(series, CHUNK)
-
-        plan = FaultPlan().kill_worker(at_chunk=3, worker=0)
-        # A legacy factory passed positionally still works, via the
-        # deprecation shim in as_chunk_source.
-        with pytest.deprecated_call():
-            supervisor = WorkerSupervisor(
-                live_config, factory, n_workers=2, mode="type",
-                max_restarts=1, backoff_base=0.0,
-                sleep=lambda seconds: None, fault_hook=plan.hook)
-        report = supervisor.run()
-        assert supervisor.restarts == 1
-        parity = event_parity(baseline_report.events, report.events)
-        assert parity.exact, parity.to_dict()
 
 
 class TestShardWorkerSeeding:
@@ -448,7 +423,7 @@ class TestShardWorkerSeeding:
             block = scatter[columns, :]
             engine = ShardWorkerMoments.from_seed(
                 shard_index, n_shards, 1.0, state["meta"], mean, block)
-            np.testing.assert_array_equal(engine._shard.block, block)
+            np.testing.assert_array_equal(engine.block, block)
             np.testing.assert_array_equal(engine._mean, mean)
             assert engine._weight_sum == flat._weight_sum
             assert engine._n_bins_seen == flat._n_bins_seen
@@ -459,8 +434,8 @@ class TestShardWorkerSeeding:
             scratch = ShardWorkerMoments(shard_index, n_shards)
             scratch.partial_fit(data)
             scratch.partial_fit(more)
-            np.testing.assert_allclose(engine._shard.block,
-                                       scratch._shard.block, rtol=1e-12)
+            np.testing.assert_allclose(engine.block, scratch.block,
+                                       rtol=1e-12)
 
     def test_from_seed_rejects_wrong_block_shape(self):
         from repro.streaming import ShardWorkerMoments
