@@ -260,6 +260,13 @@ class _ShardWorkerPool:
         self.check_alive(strict=strict)
 
     # ---------------- sending ---------------- #
+    def publish(self, chunk: TrafficChunk):
+        """Publish *chunk* on the bus, surfacing worker failures meanwhile."""
+        return self.bus.publish(
+            chunk,
+            alive_check=lambda: self.check_failure(strict=True),
+            poll_seconds=self.poll_seconds)
+
     def put(self, in_queue, item) -> None:
         """Bounded put that wakes on worker death instead of deadlocking."""
         while True:
@@ -391,13 +398,6 @@ class _ShardWorkerPool:
         return scatter
 
     # ---------------- teardown ---------------- #
-    def publish(self, chunk: TrafficChunk):
-        """Publish *chunk* on the bus, surfacing worker failures meanwhile."""
-        return self.bus.publish(
-            chunk,
-            alive_check=lambda: self.check_failure(strict=True),
-            poll_seconds=self.poll_seconds)
-
     def shutdown(self, force: bool = False) -> None:
         try:
             for process in self.processes:

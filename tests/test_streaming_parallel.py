@@ -327,7 +327,7 @@ class TestShutdownProtocol:
         # broadcast finds worker 1's queue_depth=1 queue full.
         pool = self._pool()
         pool.in_queues[1] = _FullOnce(pool.in_queues[1],
-                                      lambda: pool.processes[0].join())
+                                      lambda: pool.processes[0].join(30))
         try:
             pool.send_stop()
         finally:
@@ -339,7 +339,7 @@ class TestShutdownProtocol:
 
         def kill_worker_1():
             pool.processes[1].terminate()
-            pool.processes[1].join()
+            pool.processes[1].join(30)
 
         pool.in_queues[1] = _FullOnce(pool.in_queues[1], kill_worker_1)
         try:
