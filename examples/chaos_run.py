@@ -1,17 +1,14 @@
 #!/usr/bin/env python
 """Chaos demo: seeded faults against the fault-tolerant runtime.
 
-Three recovery paths, each ending in exact parity with an undisturbed
-run (the invariants ``tests/test_chaos.py`` enforces in CI):
+Two recovery paths (the invariants ``tests/test_chaos.py`` enforces in
+CI):
 
-1. a shard worker is **killed** mid-stream and the
-   :class:`~repro.streaming.parallel.WorkerSupervisor` restarts it from
-   the last good checkpoint, replaying the suffix — identical events;
-2. the newest checkpoint generation is **truncated** (a torn write) and
+1. the newest checkpoint generation is **truncated** (a torn write) and
    ``load_checkpoint(fallback=True)`` quarantines the damaged files and
    restores the previous verified generation — identical events after
    the suffix replay;
-3. an ingestion **leaf goes silent** and the hierarchy quarantines it at
+2. an ingestion **leaf goes silent** and the hierarchy quarantines it at
    its watermark deadline, continuing over the healthy sub-hierarchy.
 
 Run with::
@@ -24,15 +21,12 @@ from pathlib import Path
 
 from repro.datasets import DatasetConfig, generate_abilene_dataset
 from repro.evaluation import event_parity
-from repro.faults import FaultPlan, corrupt_checkpoint
+from repro.faults import corrupt_checkpoint
 from repro.streaming import (
-    ChunkedSeriesSource,
     StreamingConfig,
     StreamingNetworkDetector,
-    WorkerSupervisor,
     chunk_series,
     load_checkpoint,
-    parallel_stream_detect,
     save_checkpoint,
 )
 from repro.streaming.hierarchy import HierarchicalNetworkDetector
@@ -49,28 +43,7 @@ def main() -> None:
     print(f"dataset: {series.n_bins} bins x {series.n_od_pairs} OD pairs")
 
     # ------------------------------------------------------------------ #
-    # 1. Worker killed mid-stream: supervised restart, event parity.
-    # ------------------------------------------------------------------ #
-    config = StreamingConfig(min_train_bins=128, recalibrate_every_bins=32)
-    source = ChunkedSeriesSource(series, CHUNK)
-    baseline = parallel_stream_detect(source, config, n_workers=2)
-    print(f"undisturbed run:   {baseline.n_events} events")
-
-    plan = FaultPlan().kill_worker(at_chunk=8, worker=0)
-    print("fault plan:        " + "; ".join(plan.describe()))
-    registry = MetricsRegistry()
-    with tempfile.TemporaryDirectory() as tmp:
-        supervisor = WorkerSupervisor(
-            config, source, n_workers=2,
-            checkpoint_dir=Path(tmp) / "ckpt", checkpoint_every_chunks=3,
-            max_restarts=2, registry=registry, fault_hook=plan.hook)
-        report = supervisor.run()
-    parity = event_parity(baseline.events, report.events)
-    print(f"supervised run:    {report.n_events} events after "
-          f"{supervisor.restarts} restart(s), exact parity: {parity.exact}")
-
-    # ------------------------------------------------------------------ #
-    # 2. Torn checkpoint write: fallback to the previous generation.
+    # 1. Torn checkpoint write: fallback to the previous generation.
     # ------------------------------------------------------------------ #
     flat_config = StreamingConfig(min_train_bins=128,
                                   recalibrate_every_bins=32)
@@ -79,6 +52,7 @@ def main() -> None:
     for chunk in chunks:
         reference.process_chunk(chunk)
     reference_report = reference.finish()
+    print(f"undisturbed run:   {reference_report.n_events} events")
 
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint_dir = Path(tmp) / "ckpt"
@@ -105,7 +79,7 @@ def main() -> None:
           f"exact parity: {parity.exact}")
 
     # ------------------------------------------------------------------ #
-    # 3. Silent leaf: quarantined at the watermark deadline.
+    # 2. Silent leaf: quarantined at the watermark deadline.
     # ------------------------------------------------------------------ #
     hierarchy = HierarchicalNetworkDetector(flat_config, n_pops=2,
                                             leaf_deadline_bins=2 * CHUNK)

@@ -1,16 +1,10 @@
 #!/usr/bin/env python
-"""Restartable and parallel streaming diagnosis.
+"""Restartable streaming diagnosis.
 
-Builds on ``examples/streaming_quickstart.py`` with the two scale-out
-pieces of the streaming subsystem:
-
-1. a **checkpoint/restore** cycle: the detector is stopped mid-stream,
-   persisted to an npz + JSON-manifest directory, restored, and fed the
-   rest of the stream through ``source.resume(resume_bin)`` — emitting
-   the identical remaining events;
-2. the **multi-process driver** with bounded (backpressure-aware) queues,
-   where each worker keeps one column shard of the scatter matrix,
-   without changing a single event.
+Builds on ``examples/streaming_quickstart.py`` with a **checkpoint/restore**
+cycle: the detector is stopped mid-stream, persisted to an npz +
+JSON-manifest directory, restored, and fed the rest of the stream through
+``source.resume(resume_bin)`` — emitting the identical remaining events.
 
 Run with::
 
@@ -27,7 +21,6 @@ from repro.streaming import (
     StreamingConfig,
     StreamingNetworkDetector,
     chunk_series,
-    parallel_stream_detect,
     stream_detect,
 )
 
@@ -47,7 +40,7 @@ def main() -> None:
     print(f"baseline live run: {baseline.n_events} events")
 
     # ------------------------------------------------------------------ #
-    # 1. Checkpoint mid-stream, restore, resume the source at its bin.
+    # Checkpoint mid-stream, restore, resume the source at its bin.
     # ------------------------------------------------------------------ #
     chunks = list(chunk_series(series, CHUNK))
     split = len(chunks) // 2
@@ -70,14 +63,6 @@ def main() -> None:
         report = restored.finish()
     print(f"restored run:      {report.n_events} events, exact parity: "
           f"{event_parity(baseline.events, report.events).exact}")
-
-    # ------------------------------------------------------------------ #
-    # 2. Multi-process driver: one column shard per worker, bounded queues.
-    # ------------------------------------------------------------------ #
-    parallel = parallel_stream_detect(chunk_series(series, CHUNK),
-                                      config, n_workers=2, queue_depth=4)
-    print(f"parallel run:      {parallel.n_events} events, exact parity: "
-          f"{event_parity(baseline.events, parallel.events).exact}")
 
 
 if __name__ == "__main__":

@@ -1,18 +1,11 @@
-"""Seeded, deterministic fault injection for the distributed runtime.
+"""Seeded, deterministic fault injection for the durable runtime.
 
 The fault-tolerance claims of this repo are *parity* claims — a run that
-loses a worker, a checkpoint generation, or a whole ingestion leaf must
-end with the same event table as an undisturbed run.  Claims like that
-are only testable if the faults themselves are reproducible, so every
-primitive here is deterministic under a fixed seed and driven from the
-coordinator's chunk clock instead of wall-clock timers:
+loses a checkpoint generation, a whole ingestion leaf, or its alert sink
+must end with the same event table as an undisturbed run.  Claims like
+that are only testable if the faults themselves are reproducible, so
+every primitive here is deterministic under a fixed seed:
 
-* :class:`~repro.faults.plan.FaultPlan` — a scripted schedule of
-  injections (kill worker *w* at chunk *k*, stall the feed for *s*
-  seconds) exposed as the ``fault_hook`` callable that
-  :func:`~repro.streaming.parallel.parallel_stream_detect` and
-  :class:`~repro.streaming.parallel.WorkerSupervisor` accept.  Each
-  injection fires exactly once, including across supervised restarts.
 * :func:`~repro.faults.corrupt.corrupt_checkpoint` — torn-write and
   bit-rot simulation against a checkpoint directory: truncate or
   seeded-bit-flip the newest generation, so the fallback chain in
@@ -25,8 +18,6 @@ coordinator's chunk clock instead of wall-clock timers:
 """
 
 from repro.faults.corrupt import corrupt_checkpoint
-from repro.faults.plan import FaultInjection, FaultPlan
 from repro.faults.sinks import FailingSink
 
-__all__ = ["FaultPlan", "FaultInjection", "corrupt_checkpoint",
-           "FailingSink"]
+__all__ = ["corrupt_checkpoint", "FailingSink"]

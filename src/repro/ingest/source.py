@@ -4,10 +4,10 @@
 (:mod:`repro.ingest.csv_io`) into the watermark binner
 (:mod:`repro.ingest.binning`) behind the same ``ChunkSource`` protocol
 every other feed implements, so on-disk NetFlow-style exports drive
-``stream_detect`` / ``parallel_stream_detect`` / ``DetectionService``
-exactly like the synthetic generators do — including ``resume(start_bin)``
-suffix replay for checkpoint-restored detectors (the file is re-read;
-records before the resume bin are skipped cheaply at the binning stage).
+``stream_detect`` / ``DetectionService`` exactly like the synthetic
+generators do — including ``resume(start_bin)`` suffix replay for
+checkpoint-restored detectors (the file is re-read; records before the
+resume bin are skipped cheaply at the binning stage).
 """
 
 from __future__ import annotations

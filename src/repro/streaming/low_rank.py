@@ -337,7 +337,7 @@ def merge_low_rank(earlier: LowRankEigenTracker,
     """Combine trackers over disjoint consecutive segments — a ``2r`` core.
 
     The low-rank counterpart of
-    :func:`~repro.streaming.sharding.merge_online_pca`: the later segment's
+    :func:`~repro.streaming.online_pca.merge_online_pca`: the later segment's
     factored scatter (``U₂ √S₂``, plus the Chan mean-shift column) is one
     more factored update of the earlier tracker, so the merge costs one
     ``(r₁+r₂+1)``-sized core eigenproblem instead of anything ``O(p²)``.

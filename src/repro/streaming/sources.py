@@ -5,9 +5,8 @@ iterable of :class:`TrafficChunk` — blocks of consecutive timebins carrying
 aligned matrices for one or more traffic types — plus a ``resume(start_bin)``
 method returning the same stream's suffix from a stream-global bin (the
 checkpoint-restart path).  Every driver (``stream_detect``,
-``parallel_stream_detect``, ``WorkerSupervisor``, ``DetectionService``)
-accepts one uniform ``source=`` argument normalized by
-:func:`as_chunk_source`:
+``DetectionService``) accepts one uniform ``source=`` argument normalized
+by :func:`as_chunk_source`:
 
 * a :class:`ChunkSource` is used as-is;
 * a plain iterable of chunks is wrapped in :class:`IterableChunkSource`
@@ -274,10 +273,10 @@ class AsyncChunkSource:
     """Bridge an :mod:`asyncio` producer to the synchronous chunk drivers.
 
     The detection drivers (:func:`~repro.streaming.pipeline.stream_detect`,
-    :func:`~repro.streaming.parallel.parallel_stream_detect`) consume a
-    plain iterable; live collectors are naturally asynchronous.  This
-    adapter is both at once — an awaitable sink and a blocking iterator —
-    over one bounded queue:
+    :class:`~repro.service.DetectionService`) consume a plain iterable;
+    live collectors are naturally asynchronous.  This adapter is both at
+    once — an awaitable sink and a blocking iterator — over one bounded
+    queue:
 
     * **backpressure**: :meth:`put` suspends the producer coroutine (via an
       executor thread, never blocking the event loop) while the queue holds

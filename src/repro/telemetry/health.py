@@ -2,7 +2,7 @@
 
 A :class:`HealthSnapshot` is the status surface of a run: the handful of
 headline quantities an operator checks first (throughput, events by type,
-recalibration cadence, worker liveness, bus pressure) pulled out of the
+recalibration cadence, the slowest call of each stage) pulled out of the
 :class:`~repro.telemetry.registry.MetricsRegistry`, plus the complete
 metrics dump for everything else.  The pipeline writes one periodically
 (atomic rename, so a reader never sees a torn file); ``tools/status.py``
@@ -27,6 +27,12 @@ __all__ = ["HealthSnapshot", "render_status_table"]
 
 SNAPSHOT_VERSION = 1
 
+#: Fields of the retired multi-process plane (per-worker chunk counts,
+#: supervised restarts, the degraded flag).  Snapshots written before its
+#: removal still carry them; :meth:`HealthSnapshot.from_dict` drops them
+#: silently, since no newer reader would understand them either.
+RETIRED_FIELDS = ("workers", "worker_restarts", "degraded")
+
 
 @dataclass
 class HealthSnapshot:
@@ -42,14 +48,11 @@ class HealthSnapshot:
     events_by_type: Dict[str, int]
     recalibrations: int
     recalibration_seconds: float
-    workers: Dict[str, int] = field(default_factory=dict)
     stage_seconds: Dict[str, Dict[str, float]] = field(default_factory=dict)
     metrics: Dict[str, object] = field(default_factory=dict)
     # Fault-tolerance surface (defaults keep pre-existing snapshots
-    # loading): supervised-worker restarts, checkpoint fallback activity,
-    # hierarchy leaf quarantine, and malformed-chunk skips.
-    worker_restarts: int = 0
-    degraded: bool = False
+    # loading): checkpoint fallback activity, hierarchy leaf quarantine,
+    # and malformed-chunk skips.
     checkpoint_fallbacks: int = 0
     checkpoints_quarantined: int = 0
     quarantined_leaves: int = 0
@@ -90,11 +93,8 @@ class HealthSnapshot:
                 "total_seconds": metric.total,
                 "mean_seconds": metric.mean,
                 "p95_seconds": metric.quantile(0.95),
+                "max_seconds": metric.max,
             }
-        workers = {
-            dict(labels_key).get("worker", ""): int(metric.value)
-            for labels_key, metric in registry.labeled("worker_chunks").items()
-        }
         # Coverage defaults to full when the run has no hierarchy gauge.
         coverage = registry.value("hierarchy_coverage", default=1.0)
         return cls(
@@ -110,11 +110,8 @@ class HealthSnapshot:
             events_by_type=events_by_type,
             recalibrations=n_recalibrations,
             recalibration_seconds=(recal.total if recal is not None else 0.0),
-            workers=workers,
             stage_seconds=stage_summary,
             metrics=registry.to_dict(),
-            worker_restarts=int(registry.value("worker_restarts")),
-            degraded=bool(registry.value("degraded")),
             checkpoint_fallbacks=int(registry.value("checkpoint_fallbacks")),
             checkpoints_quarantined=int(
                 registry.value("checkpoints_quarantined")),
@@ -135,6 +132,8 @@ class HealthSnapshot:
     def from_dict(cls, data: Mapping[str, object]) -> "HealthSnapshot":
         fields = dict(data)
         fields.pop("version", None)
+        for name in RETIRED_FIELDS:
+            fields.pop(name, None)
         # Forward compatibility: a snapshot written by a newer
         # SNAPSHOT_VERSION may carry fields this reader does not know.  An
         # old status CLI pointed at a new run must keep rendering what it
@@ -194,6 +193,13 @@ def _rows_to_table(rows: List[List[str]], header: List[str]) -> List[str]:
     return lines
 
 
+def _max_ms(stage: Mapping[str, float]) -> str:
+    # Snapshots written before histograms kept an exact max lack the key.
+    if "max_seconds" not in stage:
+        return "-"
+    return f"{stage['max_seconds'] * 1e3:.3f}"
+
+
 def render_status_table(snapshot: HealthSnapshot) -> str:
     """The snapshot as a plain-text operator table (``tools/status.py``)."""
     age = time.time() - snapshot.created_unix
@@ -210,17 +216,13 @@ def render_status_table(snapshot: HealthSnapshot) -> str:
         f"recalibrations     {snapshot.recalibrations}"
         f"  ({snapshot.recalibration_seconds:.3f}s total)",
     ]
-    faults = (snapshot.worker_restarts or snapshot.degraded
-              or snapshot.checkpoint_fallbacks
+    faults = (snapshot.checkpoint_fallbacks
               or snapshot.checkpoints_quarantined
               or snapshot.quarantined_leaves or snapshot.bad_chunks
               or snapshot.coverage < 1.0)
     if faults:
         lines += [
             "",
-            f"degraded           "
-            f"{'yes' if snapshot.degraded else 'no'}",
-            f"worker restarts    {snapshot.worker_restarts}",
             f"ckpt fallbacks     {snapshot.checkpoint_fallbacks}"
             f"  ({snapshot.checkpoints_quarantined} files quarantined)",
             f"leaf coverage      {snapshot.coverage:.2f}"
@@ -237,13 +239,8 @@ def render_status_table(snapshot: HealthSnapshot) -> str:
         lines.append("")
         lines.extend(_rows_to_table(
             [[stage, str(int(s["count"])), f"{s['mean_seconds'] * 1e3:.3f}",
-              f"{s['p95_seconds'] * 1e3:.3f}", f"{s['total_seconds']:.3f}"]
+              f"{s['p95_seconds'] * 1e3:.3f}", _max_ms(s),
+              f"{s['total_seconds']:.3f}"]
              for stage, s in sorted(snapshot.stage_seconds.items())],
-            ["stage", "count", "mean ms", "p95 ms", "total s"]))
-    if snapshot.workers:
-        lines.append("")
-        lines.extend(_rows_to_table(
-            [[worker, str(count)]
-             for worker, count in sorted(snapshot.workers.items())],
-            ["worker", "chunks"]))
+            ["stage", "count", "mean ms", "p95 ms", "max ms", "total s"]))
     return "\n".join(lines) + "\n"

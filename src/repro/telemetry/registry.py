@@ -6,22 +6,22 @@ named collection of three metric kinds shared by every runtime component:
 * :class:`Counter` — a monotonically increasing float (bins processed,
   events emitted, recalibrations run);
 * :class:`Gauge` — a point-in-time value with an explicit **merge mode**
-  (``last``/``sum``/``max``/``min``), because "the bus holds 3 slots" and
-  "this worker processed 40 chunks" combine differently across processes;
+  (``last``/``sum``/``max``/``min``), because a current value and a
+  running worst case combine differently;
 * :class:`Histogram` — fixed upper-bound buckets plus a running sum/count
-  (per-stage latencies), so two processes' distributions add bucket-wise.
+  and an exact maximum (per-stage latencies), so two distributions add
+  bucket-wise and the slowest observation is never lost to a bucket edge.
 
-Registries **merge**: shard/type workers maintain their own registry and
-ship its :meth:`~MetricsRegistry.to_dict` form over the existing result
-pipes; the coordinator folds them with :meth:`~MetricsRegistry.merge` — the
-same discipline as the moment algebra, and (for counters, histograms, and
-``sum``/``max``/``min`` gauges) associative and commutative in the same
-way, which is what ``tests/test_telemetry.py`` property-checks.
+Registries **merge**: a restored run folds the registry carried in its
+checkpoint into a fresh one with :meth:`~MetricsRegistry.merge` —
+the same discipline as the moment algebra, and (for counters, histograms,
+and ``sum``/``max``/``min`` gauges) associative and commutative in the
+same way, which is what ``tests/test_telemetry.py`` property-checks.
 
 Metric identity is ``(name, labels)`` where labels is a frozen mapping
 (Prometheus-style dimensions: ``{"type": "bytes"}``, ``{"stage":
 "detect"}``).  Everything is dependency-free and JSON-serializable, so a
-registry travels through queues, checkpoint manifests, and snapshot files
+registry travels through checkpoint manifests and snapshot files
 unchanged.
 """
 
@@ -78,12 +78,12 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value with an explicit cross-process merge mode.
+    """A point-in-time value with an explicit merge mode.
 
     ``last`` (the default) keeps whichever side set the gauge more
-    recently in merge order — right for coordinator-owned state like the
-    adaptive scale; ``sum``/``max``/``min`` combine worker-local values
-    (per-worker chunk counts, worst-case lag) order-independently.
+    recently in merge order — right for run state like the adaptive
+    scale; ``sum``/``max``/``min`` combine independently collected values
+    order-independently.
     """
 
     kind = "gauge"
@@ -135,7 +135,10 @@ class Histogram:
     ``+Inf`` bucket catches the overflow.  ``counts[i]`` is the number of
     observations in ``(bounds[i-1], bounds[i]]`` (*not* cumulative — the
     Prometheus formatter accumulates on the way out), so merging two
-    histograms is element-wise addition.
+    histograms is element-wise addition.  ``max`` is the exact largest
+    observation (``0.0`` before any): quantiles only resolve to a bucket
+    edge, and a few slow calls can carry most of a run's time while the
+    p95 still reads the fast calls' edge.
     """
 
     kind = "histogram"
@@ -151,6 +154,7 @@ class Histogram:
         self.counts = [0] * (len(bounds) + 1)  # +1: the +Inf bucket
         self.total = 0.0
         self.count = 0
+        self.max = 0.0
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -162,6 +166,7 @@ class Histogram:
         with self._lock:
             self.counts[index] += 1
             self.total += value
+            self.max = value if self.count == 0 else max(self.max, value)
             self.count += 1
 
     @property
@@ -188,6 +193,9 @@ class Histogram:
         require(other.bounds == self.bounds,
                 "cannot merge histograms with different bucket bounds")
         with self._lock:
+            if other.count:
+                self.max = (other.max if self.count == 0
+                            else max(self.max, other.max))
             for i, bucket_count in enumerate(other.counts):
                 self.counts[i] += bucket_count
             self.total += other.total
@@ -196,7 +204,7 @@ class Histogram:
     def to_dict(self) -> Dict[str, object]:
         return {"kind": self.kind, "bounds": list(self.bounds),
                 "counts": list(self.counts), "total": self.total,
-                "count": self.count}
+                "count": self.count, "max": self.max}
 
     def restore(self, data: Mapping[str, object]) -> None:
         require(tuple(float(b) for b in data["bounds"]) == self.bounds,
@@ -204,6 +212,9 @@ class Histogram:
         self.counts = [int(c) for c in data["counts"]]
         self.total = float(data["total"])
         self.count = int(data["count"])
+        # Registries saved before the exact max was kept lack the key; the
+        # max then covers only what is observed after the restore.
+        self.max = float(data.get("max", 0.0))
 
 
 _METRIC_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -319,7 +330,7 @@ class MetricsRegistry:
         return len(self._metrics)
 
     # ------------------------------------------------------------------ #
-    # merge (the cross-process fold)
+    # merge
     # ------------------------------------------------------------------ #
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold *other* into this registry (metric-by-metric) and return self.
@@ -341,7 +352,7 @@ class MetricsRegistry:
         return self
 
     # ------------------------------------------------------------------ #
-    # serialization (pipes, snapshot files, checkpoints)
+    # serialization (snapshot files, checkpoints)
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form (labels flattened into each entry)."""

@@ -131,8 +131,9 @@ class TestCheckpointRoundtrip:
 
 
 class TestRetiredConfigKeys:
-    """Checkpoints written while the config still carried ``n_shards`` and
-    ``parallel_mode`` (the state below is that shape, built by hand)."""
+    """Checkpoints written while the config still carried ``n_shards``,
+    ``parallel_mode``, ``bus_slots`` and ``poll_seconds`` (the state below
+    is that shape, built by hand)."""
 
     def _pre_retirement_state(self, small_dataset, live_config, **retired):
         detector = StreamingNetworkDetector(live_config)
@@ -148,6 +149,22 @@ class TestRetiredConfigKeys:
             small_dataset, live_config, n_shards=1, parallel_mode="type")
         restored = StreamingNetworkDetector.from_state(**state)
         assert restored.config == live_config
+        for chunk in _chunks(small_dataset)[4:]:
+            restored.process_chunk(chunk)
+        assert event_parity(uninterrupted.events,
+                            restored.finish().events).exact
+
+    def test_multi_process_plane_settings_are_dropped(
+            self, small_dataset, live_config, uninterrupted):
+        # The defaults every checkpoint carried before the plane's removal.
+        state = self._pre_retirement_state(
+            small_dataset, live_config, bus_slots=8, poll_seconds=1.0)
+        assert StreamingConfig.from_dict(
+            state["meta"]["config"]) == live_config
+        restored = StreamingNetworkDetector.from_state(**state)
+        assert restored.config == live_config
+        assert not hasattr(restored.config, "bus_slots")
+        assert not hasattr(restored.config, "poll_seconds")
         for chunk in _chunks(small_dataset)[4:]:
             restored.process_chunk(chunk)
         assert event_parity(uninterrupted.events,

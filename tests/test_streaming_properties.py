@@ -1,27 +1,18 @@
 """Seeded randomized property tests of the streaming moment algebra.
 
-Three algebraic guarantees the parallel subsystem rests on:
+Two algebraic guarantees the streaming and hierarchical drivers rest on:
 
 1. **Chunking invariance** — with ``λ = 1``, any split of a stream into
    chunks yields the same mean/covariance as ``np.cov`` of the full
    history, regardless of chunk boundaries.
-2. **Shard-merge associativity/commutativity** — for any K, the
-   covariance stacked from the K :class:`ShardWorkerMoments` row blocks
-   equals the single-engine one, refining K changes nothing, and the
-   stacking order is irrelevant (bitwise).
-3. **Temporal Chan merge** — engines over disjoint consecutive segments
+2. **Temporal Chan merge** — engines over disjoint consecutive segments
    combine exactly: associative for every ``λ``, commutative at ``λ = 1``.
 """
 
 import numpy as np
 import pytest
 
-from repro.streaming import (
-    OnlinePCA,
-    ShardWorkerMoments,
-    merge_online_pca,
-    partition_columns,
-)
+from repro.streaming import OnlinePCA, merge_online_pca
 
 #: Number of randomized draws per property (seeded, so deterministic).
 N_TRIALS = 10
@@ -84,104 +75,6 @@ class TestChunkingInvariance:
         np.testing.assert_allclose(whole.eigenbasis()[0],
                                    chunked.eigenbasis()[0],
                                    rtol=1e-8, atol=1e-8)
-
-
-def _shard_workers(n_shards, forgetting=1.0):
-    return [ShardWorkerMoments(i, n_shards, forgetting)
-            for i in range(n_shards)]
-
-
-def _feed_all(engines, matrix, bounds):
-    for engine in engines:
-        _feed(engine, matrix, bounds)
-    return engines
-
-
-def _stacked_scatter(workers, order=None):
-    """The full scatter assembled from the workers' row blocks."""
-    p = workers[0].n_features
-    scatter = np.full((p, p), np.nan)
-    for index in (order if order is not None else range(len(workers))):
-        scatter[workers[index].columns, :] = workers[index].block
-    return scatter
-
-
-def _stacked_covariance(workers):
-    return _stacked_scatter(workers) / (workers[0].weight_sum - 1.0)
-
-
-class TestShardMergeAlgebra:
-    """Stacked :class:`ShardWorkerMoments` blocks against :class:`OnlinePCA`."""
-
-    def test_random_partitions_match_single_engine(self):
-        rng = np.random.default_rng(42)
-        for _ in range(N_TRIALS):
-            matrix = _random_stream(rng)
-            p = matrix.shape[1]
-            # Any K, including more workers than columns (empty shards).
-            n_shards = int(rng.integers(1, p + 3))
-            bounds = _random_splits(rng, matrix.shape[0])
-            single = _feed(OnlinePCA(), matrix, bounds)
-            workers = _feed_all(_shard_workers(n_shards), matrix, bounds)
-            np.testing.assert_allclose(_stacked_covariance(workers),
-                                       single.covariance(),
-                                       rtol=1e-9, atol=1e-9)
-            for worker in workers:
-                np.testing.assert_array_equal(worker.mean, single.mean)
-                assert worker.weight_sum == single.weight_sum
-                assert worker.n_samples == single.n_samples
-
-    def test_shard_order_is_irrelevant_bitwise(self):
-        # Commutativity in the partition: stacking the blocks in any order
-        # yields the identical scatter, entry for entry.
-        rng = np.random.default_rng(7)
-        matrix = _random_stream(rng, n_bins=120, n_features=15)
-        workers = _feed_all(_shard_workers(4), matrix, [0, 40, 80, 120])
-        forward = _stacked_scatter(workers)
-        for order in ([3, 2, 1, 0], [2, 0, 3, 1]):
-            np.testing.assert_array_equal(_stacked_scatter(workers, order),
-                                          forward)
-
-    def test_refining_a_partition_is_associative(self):
-        # K=2 and the K=4 refinement of the same stream agree: merging
-        # (A ∪ B) and (C ∪ D) equals merging A, B, C, D.
-        rng = np.random.default_rng(13)
-        matrix = _random_stream(rng, n_bins=140, n_features=16)
-        bounds = list(range(0, 141, 35))
-        coarse = _feed_all(_shard_workers(2), matrix, bounds)
-        fine = _feed_all(_shard_workers(4), matrix, bounds)
-        np.testing.assert_allclose(_stacked_covariance(fine),
-                                   _stacked_covariance(coarse),
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_sharding_with_forgetting_matches_single_engine(self):
-        rng = np.random.default_rng(99)
-        for lam in (0.9, 0.99):
-            matrix = _random_stream(rng, n_bins=160, n_features=10)
-            bounds = list(range(0, 160, 23)) + [160]
-            single = _feed(OnlinePCA(forgetting=lam), matrix, bounds)
-            workers = _feed_all(_shard_workers(3, forgetting=lam), matrix,
-                                bounds)
-            np.testing.assert_allclose(_stacked_covariance(workers),
-                                       single.covariance(),
-                                       rtol=1e-10, atol=1e-10)
-            assert workers[0].effective_samples == \
-                pytest.approx(single.effective_samples)
-
-    def test_partition_helper_and_validation(self):
-        partition = partition_columns(10, 4)
-        assert [len(c) for c in partition] == [3, 3, 2, 2]
-        assert partition_columns(3, 8) and len(partition_columns(3, 8)) == 3
-        with pytest.raises(ValueError):
-            ShardWorkerMoments(0, 0)
-        with pytest.raises(ValueError):
-            ShardWorkerMoments(2, 2)
-        worker = ShardWorkerMoments(0, 2)
-        with pytest.raises(ValueError, match="no data"):
-            worker.block
-        worker.partial_fit(np.ones((2, 3)))
-        with pytest.raises(NotImplementedError):
-            worker.covariance()
 
 
 class TestTemporalChanMerge:

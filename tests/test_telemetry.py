@@ -1,7 +1,7 @@
 """Unit + property tests of the telemetry plane (registry/tracer/health).
 
-The registry's merge is the cross-process fold the distributed drivers
-rely on, so it gets the same algebraic treatment as the moment algebra in
+The registry's merge is the fold a restored run relies on, so it gets the
+same algebraic treatment as the moment algebra in
 ``test_streaming_properties.py``: seeded randomized registries, merged in
 every order/grouping, must agree bit-for-bit for the order-independent
 metric kinds (counters, histograms, ``sum``/``max``/``min`` gauges).
@@ -25,10 +25,10 @@ from repro.telemetry import (
 #: Number of randomized draws per property (seeded, so deterministic).
 N_TRIALS = 10
 
-_NAMES = ("bins_processed", "events", "stage_seconds", "worker_chunks",
+_NAMES = ("bins_processed", "events", "stage_seconds", "bad_chunks",
           "lag")
 _LABELS = (None, {"type": "bytes"}, {"type": "flows"},
-           {"stage": "detect"}, {"worker": "shard-1"})
+           {"stage": "detect"}, {"leaf": "pop-1"})
 
 
 def _dyadic(rng, low, high):
@@ -119,6 +119,43 @@ class TestRegistryBasics:
         assert histogram.quantile(0.5) == 2.0
         assert histogram.quantile(1.0) == 4.0  # overflow reports last edge
 
+    def test_histogram_keeps_an_exact_max(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", bounds=(1.0, 2.0))
+        assert histogram.max == 0.0
+        for value in (0.5, 7.25, 1.5):
+            histogram.observe(value)
+        assert histogram.max == 7.25  # exact, not the last bucket edge
+        other = MetricsRegistry()
+        other.histogram("h", bounds=(1.0, 2.0)).observe(9.5)
+        assert _copy(registry).merge(other).get("h").max == 9.5
+        assert _copy(other).merge(registry).get("h").max == 9.5
+        # An empty side leaves the max alone, whichever side it is on.
+        empty = MetricsRegistry()
+        empty.histogram("h", bounds=(1.0, 2.0))
+        assert _copy(registry).merge(empty).get("h").max == 7.25
+        assert _copy(empty).merge(registry).get("h").max == 7.25
+        assert _copy(registry).get("h").max == 7.25  # to_dict/from_dict
+
+    def test_registry_saved_without_histogram_max_still_restores(self):
+        """Registries inside checkpoints written before the exact max was
+        kept (the entry below is that shape, built by hand)."""
+        old = {"metrics": [{"name": "stage_seconds",
+                            "labels": {"stage": "detect"},
+                            "kind": "histogram", "bounds": [1.0, 2.0],
+                            "counts": [3, 1, 0], "total": 2.5,
+                            "count": 4}],
+               "help": {}}
+        registry = MetricsRegistry.from_dict(old)
+        histogram = registry.get("stage_seconds", {"stage": "detect"})
+        assert histogram.count == 4 and histogram.total == 2.5
+        assert histogram.max == 0.0
+        histogram.observe(0.25)
+        assert histogram.max == 0.25
+        fresh = MetricsRegistry()
+        fresh.merge(MetricsRegistry.from_dict(old))  # the service restore
+        assert fresh.get("stage_seconds", {"stage": "detect"}).count == 4
+
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(20040701)
         for _ in range(N_TRIALS):
@@ -154,19 +191,19 @@ class TestMergeAlgebra:
             assert left == right
 
     def test_merge_matches_single_stream(self):
-        """K worker registries folded == one registry fed everything."""
+        """K partial registries folded == one registry fed everything."""
         rng = np.random.default_rng(20040704)
         for _ in range(N_TRIALS):
             observations = rng.integers(
                 0, 80, size=int(rng.integers(5, 40))) / 8.0
-            n_workers = int(rng.integers(2, 5))
+            n_parts = int(rng.integers(2, 5))
             whole = MetricsRegistry()
-            parts = [MetricsRegistry() for _ in range(n_workers)]
+            parts = [MetricsRegistry() for _ in range(n_parts)]
             for i, value in enumerate(observations):
                 whole.counter("n").inc()
                 whole.histogram("h").observe(value)
-                parts[i % n_workers].counter("n").inc()
-                parts[i % n_workers].histogram("h").observe(value)
+                parts[i % n_parts].counter("n").inc()
+                parts[i % n_parts].histogram("h").observe(value)
             folded = parts[0]
             for part in parts[1:]:
                 folded.merge(part)
@@ -233,7 +270,6 @@ class TestHealthSnapshot:
         registry.counter("events", {"type": "BF"}).inc(1)
         registry.counter("recalibrations", {"type": "bytes"}).inc(5)
         registry.counter("recalibrations", {"type": "flows"}).inc(5)
-        registry.counter("worker_chunks", {"worker": "shard-0"}).inc(12)
         registry.histogram("stage_seconds", {"stage": "detect"}).observe(0.01)
         return registry
 
@@ -246,8 +282,25 @@ class TestHealthSnapshot:
         assert snapshot.events_total == 4
         assert snapshot.events_by_type == {"B": 3, "BF": 1}
         assert snapshot.recalibrations == 10  # summed over the type labels
-        assert snapshot.workers == {"shard-0": 12}
         assert snapshot.stage_seconds["detect"]["count"] == 1
+        assert snapshot.stage_seconds["detect"]["max_seconds"] == 0.01
+
+    def test_slow_chunk_tail_is_visible(self):
+        """171 fast calls and 4 slow ones: p95 stays at the fast bucket's
+        edge, so only the exact max shows where the time went."""
+        registry = MetricsRegistry()
+        histogram = registry.histogram("stage_seconds", {"stage": "detect"})
+        for i in range(171):
+            histogram.observe(0.0001 + 0.000002 * i)  # all under 0.5 ms
+        for slow in (0.040, 0.120, 0.300, 0.480):  # 32-512 ms
+            histogram.observe(slow)
+        detect = HealthSnapshot.from_registry(registry).stage_seconds["detect"]
+        assert detect["count"] == 175
+        assert detect["p95_seconds"] <= 0.0005
+        assert detect["max_seconds"] >= 0.032
+        assert detect["max_seconds"] == 0.480
+        # The slow calls carry most of the time, hidden from the p95.
+        assert 0.94 / detect["total_seconds"] > 0.9
 
     def test_write_read_round_trip(self, tmp_path):
         snapshot = HealthSnapshot.from_registry(self._populated_registry())
@@ -263,7 +316,8 @@ class TestHealthSnapshot:
         table = render_status_table(snapshot)
         assert "bins processed     576" in table
         assert "recalibrations     10" in table
-        assert "shard-0" in table
+        assert "max ms" in table
+        assert "10.000" in table  # the detect stage's slowest call, in ms
 
 
 class TestPrometheusExposition:
@@ -299,13 +353,13 @@ class TestTelemetryFacade:
 
         assert Telemetry.from_config(Disabled()) is None
 
-    def test_worker_gets_suffixed_trace_and_no_snapshot(self, tmp_path):
+    def test_trace_and_snapshot_paths_come_from_the_config(self, tmp_path):
         config = self._Config()
         config.telemetry_trace_path = str(tmp_path / "trace.jsonl")
         config.telemetry_snapshot_path = str(tmp_path / "health.json")
-        worker = Telemetry.from_config(config, worker="shard-2")
-        assert worker.tracer.sink.path.endswith("trace.jsonl.shard-2")
-        assert worker.snapshot_path == ""  # snapshots are coordinator-only
+        telemetry = Telemetry.from_config(config)
+        assert telemetry.tracer.sink.path == config.telemetry_trace_path
+        assert telemetry.snapshot_path == config.telemetry_snapshot_path
 
     def test_state_round_trip_keeps_counters_drops_spans(self):
         telemetry = Telemetry.from_config(self._Config())
@@ -402,6 +456,26 @@ class TestSnapshotWriteRaces:
             loaded = HealthSnapshot.read(str(path))
         assert loaded.bins_processed == 7
         assert not hasattr(loaded, "hyperdrive_engaged")
+
+    def test_retired_worker_fields_load_without_warning(self, tmp_path):
+        """Snapshots written while the multi-process plane existed carry
+        ``workers``, ``worker_restarts`` and ``degraded`` (the file below is
+        that shape, built by hand).  They load silently: the "newer
+        version" warning would be wrong for them."""
+        import warnings
+
+        path = tmp_path / "health.json"
+        self._snapshot().write(str(path))
+        data = json.loads(path.read_text())
+        data.update(workers={"shard-0": 12, "shard-1": 12},
+                    worker_restarts=1, degraded=True)
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = HealthSnapshot.read(str(path))
+        assert loaded.bins_processed == 7
+        for name in ("workers", "worker_restarts", "degraded"):
+            assert not hasattr(loaded, name)
 
     def test_known_fields_do_not_warn(self, tmp_path):
         import warnings
