@@ -1,15 +1,11 @@
 #!/usr/bin/env python
-"""Chaos demo: seeded faults against the fault-tolerant runtime.
+"""Chaos demo: a torn checkpoint write against the fault-tolerant runtime.
 
-Two recovery paths (the invariants ``tests/test_chaos.py`` enforces in
-CI):
-
-1. the newest checkpoint generation is **truncated** (a torn write) and
-   ``load_checkpoint(fallback=True)`` quarantines the damaged files and
-   restores the previous verified generation — identical events after
-   the suffix replay;
-2. an ingestion **leaf goes silent** and the hierarchy quarantines it at
-   its watermark deadline, continuing over the healthy sub-hierarchy.
+The newest checkpoint generation is **truncated** (a torn write) and
+``load_checkpoint(fallback=True)`` quarantines the damaged files and
+restores the previous verified generation — identical events after the
+suffix replay (the invariant ``tests/test_chaos.py`` enforces in CI,
+next to the alert-sink-down case).
 
 Run with::
 
@@ -29,7 +25,6 @@ from repro.streaming import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.streaming.hierarchy import HierarchicalNetworkDetector
 from repro.telemetry import MetricsRegistry
 
 CHUNK = 48
@@ -43,12 +38,11 @@ def main() -> None:
     print(f"dataset: {series.n_bins} bins x {series.n_od_pairs} OD pairs")
 
     # ------------------------------------------------------------------ #
-    # 1. Torn checkpoint write: fallback to the previous generation.
+    # Torn checkpoint write: fallback to the previous generation.
     # ------------------------------------------------------------------ #
-    flat_config = StreamingConfig(min_train_bins=128,
-                                  recalibrate_every_bins=32)
+    config = StreamingConfig(min_train_bins=128, recalibrate_every_bins=32)
     chunks = list(chunk_series(series, CHUNK))
-    reference = StreamingNetworkDetector(flat_config)
+    reference = StreamingNetworkDetector(config)
     for chunk in chunks:
         reference.process_chunk(chunk)
     reference_report = reference.finish()
@@ -56,7 +50,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint_dir = Path(tmp) / "ckpt"
-        detector = StreamingNetworkDetector(flat_config)
+        detector = StreamingNetworkDetector(config)
         for index, chunk in enumerate(chunks[:8]):
             detector.process_chunk(chunk)
             if (index + 1) % 2 == 0:
@@ -77,19 +71,6 @@ def main() -> None:
     parity = event_parity(reference_report.events, restored_report.events)
     print(f"replayed suffix:   {restored_report.n_events} events, "
           f"exact parity: {parity.exact}")
-
-    # ------------------------------------------------------------------ #
-    # 2. Silent leaf: quarantined at the watermark deadline.
-    # ------------------------------------------------------------------ #
-    hierarchy = HierarchicalNetworkDetector(flat_config, n_pops=2,
-                                            leaf_deadline_bins=2 * CHUNK)
-    healthy = [c for i, c in enumerate(chunks) if i % 2 == 0]
-    for chunk in healthy:
-        hierarchy.process_chunk(chunk, pop=0)  # pop 1 never reports
-    report = hierarchy.finish()
-    print(f"silent leaf:       pop(s) {sorted(hierarchy.quarantined_pops)} "
-          f"quarantined, coverage {hierarchy.coverage:.2f}, detection "
-          f"continued over {report.n_bins_processed} healthy bins")
 
 
 if __name__ == "__main__":

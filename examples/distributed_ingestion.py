@@ -1,18 +1,12 @@
 #!/usr/bin/env python
-"""Distributed ingestion, end to end: one live diagnosis fed from many places.
+"""Live ingestion from outside the detection loop: an asyncio feed.
 
-Builds on ``examples/streaming_checkpoint.py`` with the pieces that bring
-chunks in from outside the detection loop and from several sites:
-
-1. an **asyncio feed** (``AsyncChunkSource``): an async producer pushes
-   chunks with bounded backpressure and watermarks while the synchronous
-   driver consumes them unchanged;
-2. a **2-PoP hierarchy** (``HierarchicalNetworkDetector``): each PoP
-   ingests only its own chunks, the global detector folds the per-PoP
-   moment engines with the exact parallel-moments merge — event-identical
-   to the flat run — and **checkpointing the hierarchy checkpoints the
-   merged state**: the saved directory restores as a flat detector that
-   finishes the stream with the identical remaining events.
+Builds on ``examples/streaming_checkpoint.py``.  Live collectors are
+asynchronous while the detection drivers consume a plain iterable;
+``AsyncChunkSource`` bridges the two.  An async producer pushes chunks
+through one bounded queue (backpressure on the producer, in-order
+watermarks) while the unchanged synchronous ``stream_detect`` consumes
+them — and the events match a run over the same chunks in memory.
 
 Run with::
 
@@ -20,17 +14,13 @@ Run with::
 """
 
 import asyncio
-import tempfile
 import threading
-from pathlib import Path
 
 from repro.datasets import DatasetConfig, generate_abilene_dataset
 from repro.evaluation import event_parity
 from repro.streaming import (
     AsyncChunkSource,
-    HierarchicalNetworkDetector,
     StreamingConfig,
-    StreamingNetworkDetector,
     chunk_series,
     stream_detect,
 )
@@ -51,8 +41,8 @@ def main() -> None:
     print(f"baseline live run:    {baseline.n_events} events")
 
     # ------------------------------------------------------------------ #
-    # 1. Asyncio feed: an async producer with bounded backpressure and
-    #    watermarks, the same synchronous driver on the consuming side.
+    # Asyncio feed: an async producer with bounded backpressure and
+    # watermarks, the same synchronous driver on the consuming side.
     # ------------------------------------------------------------------ #
     source = AsyncChunkSource(maxsize=4)
 
@@ -70,27 +60,6 @@ def main() -> None:
     print(f"asyncio feed:         {live.n_events} events, exact parity: "
           f"{event_parity(baseline.events, live.events).exact} "
           f"(consumed watermark {source.consumed_watermark} bins)")
-
-    # ------------------------------------------------------------------ #
-    # 2. Two-PoP hierarchy: local ingestion, merged global model, and a
-    #    checkpoint of the merged state that resumes as a flat run.
-    # ------------------------------------------------------------------ #
-    chunks = list(chunk_series(series, CHUNK))
-    split = len(chunks) // 2
-    hierarchy = HierarchicalNetworkDetector(config, n_pops=2)
-    for i, chunk in enumerate(chunks[:split]):
-        hierarchy.process_chunk(chunk, pop=i % 2)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        checkpoint_dir = Path(tmp) / "merged-ckpt"
-        hierarchy.save(checkpoint_dir)  # persists the *merged* flat state
-        restored = StreamingNetworkDetector.restore(checkpoint_dir)
-        for chunk in chunks[split:]:
-            restored.process_chunk(chunk)
-        report = restored.finish()
-    print(f"2-PoP hierarchy:      resumed from the merged checkpoint, "
-          f"{report.n_events} events, exact parity: "
-          f"{event_parity(baseline.events, report.events).exact}")
 
 
 if __name__ == "__main__":

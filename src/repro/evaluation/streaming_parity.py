@@ -102,9 +102,8 @@ def report_parity(reference, candidate) -> Dict[str, object]:
     Compares any two objects with the
     :class:`~repro.streaming.pipeline.StreamingReport` shape: the fused
     event lists (via :func:`event_parity`), the raw per-type detection
-    lists, and the bin/chunk counters.  A hierarchical or
-    checkpoint-restored run passes iff every entry under ``"equal"`` is
-    true.
+    lists, and the bin/chunk counters.  A checkpoint-restored run passes
+    iff every entry under ``"equal"`` is true.
     """
     events = event_parity(reference.events, candidate.events)
     detections_equal = {

@@ -1,10 +1,10 @@
 """Seeded, deterministic fault injection for the durable runtime.
 
 The fault-tolerance claims of this repo are *parity* claims — a run that
-loses a checkpoint generation, a whole ingestion leaf, or its alert sink
-must end with the same event table as an undisturbed run.  Claims like
-that are only testable if the faults themselves are reproducible, so
-every primitive here is deterministic under a fixed seed:
+loses a checkpoint generation or its alert sink must end with the same
+event table as an undisturbed run.  Claims like that are only testable
+if the faults themselves are reproducible, so every primitive here is
+deterministic under a fixed seed:
 
 * :func:`~repro.faults.corrupt.corrupt_checkpoint` — torn-write and
   bit-rot simulation against a checkpoint directory: truncate or

@@ -37,12 +37,10 @@ detects in one shot; this package turns that into an online system:
    drift rate, freeze-on-alarm — so non-stationary weeks are thresholded
    against the recent clean-statistic tail instead of the lagging
    parametric limits;
-9. :mod:`repro.streaming.hierarchy` aggregates per-PoP ingestion leaves
-   into one global detector by merging **models** (the exact Chan
-   parallel-moments combine,
-   :func:`~repro.streaming.online_pca.merge_online_pca`) instead of
-   shipping raw data — event-identical to the flat run, and
-   checkpointable as the merged flat state.
+9. :class:`~repro.streaming.sources.AsyncChunkSource` bridges an
+   :mod:`asyncio` collector to the synchronous drivers through one bounded
+   queue, with backpressure, in-order watermarks and producer-failure
+   propagation.
 
 Everything runs in one process: :func:`stream_detect` (or a
 :class:`StreamingNetworkDetector` driven chunk by chunk) is the live
@@ -53,16 +51,8 @@ README's p-sweep).
 
 from repro.streaming.adaptive_limits import AdaptiveControlLimits
 from repro.streaming.config import StreamingConfig, forgetting_from_half_life
-from repro.streaming.online_pca import (
-    OnlinePCA,
-    eigh_descending,
-    merge_online_pca,
-)
-from repro.streaming.low_rank import (
-    LowRankEigenTracker,
-    compress_engine,
-    merge_low_rank,
-)
+from repro.streaming.online_pca import OnlinePCA, eigh_descending
+from repro.streaming.low_rank import LowRankEigenTracker
 from repro.streaming.detector import (
     ChunkDetections,
     StreamDetection,
@@ -93,7 +83,6 @@ from repro.streaming.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.streaming.hierarchy import HierarchicalNetworkDetector
 
 __all__ = [
     "AdaptiveControlLimits",
@@ -102,9 +91,6 @@ __all__ = [
     "OnlinePCA",
     "eigh_descending",
     "LowRankEigenTracker",
-    "compress_engine",
-    "merge_low_rank",
-    "merge_online_pca",
     "SubspaceSnapshot",
     "StreamDetection",
     "ChunkDetections",
@@ -127,5 +113,4 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "has_checkpoint",
-    "HierarchicalNetworkDetector",
 ]

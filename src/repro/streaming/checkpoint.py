@@ -28,8 +28,9 @@ Usage::
 
     detector.save("ckpt/")                      # between two chunks
     detector = StreamingNetworkDetector.restore("ckpt/")
-    for chunk in remaining_chunks:              # e.g. a ChunkedSeriesSource
-        detector.process_chunk(chunk)           #     with start_bin=...
+    start_bin = detector.report.n_bins_processed
+    for chunk in ChunkedSeriesSource(series, chunk_size).resume(start_bin):
+        detector.process_chunk(chunk)
     report = detector.finish()
 """
 
@@ -100,13 +101,6 @@ def save_checkpoint(detector: StreamingNetworkDetector,
                     keep_generations: int = DEFAULT_KEEP_GENERATIONS) -> Path:
     """Write *detector*'s complete state into *directory*.
 
-    *detector* may also be any object exposing ``to_network_detector()``
-    (e.g. a :class:`~repro.streaming.hierarchy.HierarchicalNetworkDetector`):
-    the checkpoint then persists the **merged** flat state, so every
-    checkpoint on disk — flat or hierarchical — has one
-    format and restores through :func:`load_checkpoint` into an ordinary
-    single-process detector.
-
     The directory is created if needed.  Overwriting an existing checkpoint
     is crash-consistent: the arrays land under a content-addressed name
     (``state-<digest>.npz``) that never clobbers the previous save, the
@@ -118,39 +112,32 @@ def save_checkpoint(detector: StreamingNetworkDetector,
     manifest paired with the wrong arrays file is rejected at load time by
     the recorded SHA-256 instead of silently resuming from corrupt state.
     """
-    # The lineage check must see the *original* object's run id: the
-    # hierarchical detector's to_network_detector() (inside the inner save)
-    # builds a fresh flat detector — and a fresh id — on every call.
     require(int(keep_generations) >= 1, "keep_generations must be >= 1")
-    run_id = getattr(detector, "run_id", None)
-    _require_same_lineage(Path(directory), run_id)
-    telemetry = getattr(detector, "_telemetry", None)
+    _require_same_lineage(Path(directory), detector.run_id)
+    telemetry = detector.telemetry
     if telemetry is None:
-        return _save_checkpoint(detector, directory, run_id,
-                                int(keep_generations))
+        return _save_checkpoint(detector, directory, int(keep_generations))
     # Count first: the registry is serialized inside the save, so the
     # checkpoint (and a run restored from it) includes its own write.
     telemetry.registry.counter(
         "checkpoints", help="Checkpoints written").inc()
     with telemetry.span("checkpoint"):
-        path = _save_checkpoint(detector, directory, run_id,
-                                int(keep_generations))
+        path = _save_checkpoint(detector, directory, int(keep_generations))
     return path
 
 
-def _require_same_lineage(path: Path, run_id) -> None:
+def _require_same_lineage(path: Path, run_id: str) -> None:
     """Refuse to overwrite (and garbage-collect) a foreign checkpoint.
 
     Two detectors pointed at one directory would otherwise destroy each
     other silently: the stale-GC after a save unlinks every unreferenced
     ``state-*.npz``, including the other run's arrays.  A manifest carrying
     a different lineage ``run_id`` therefore aborts the save with a clear
-    error.  Manifests without a ``run_id`` (pre-lineage format) and
-    detectors without one (``run_id=None``) stay overwritable for
-    compatibility.
+    error.  Manifests without a ``run_id`` (pre-lineage format) stay
+    overwritable for compatibility.
     """
     manifest_path = path / MANIFEST_FILENAME
-    if run_id is None or not manifest_path.is_file():
+    if not manifest_path.is_file():
         return
     try:
         with open(manifest_path, "r", encoding="utf-8") as handle:
@@ -192,17 +179,10 @@ def _write_manifest(manifest: dict, target: Path) -> None:
 
 def _save_checkpoint(detector: StreamingNetworkDetector,
                      directory: Union[str, Path],
-                     run_id=None,
-                     keep_generations: int = DEFAULT_KEEP_GENERATIONS) -> Path:
+                     keep_generations: int) -> Path:
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    if hasattr(detector, "to_network_detector"):
-        detector = detector.to_network_detector()
     state = detector.state_dict()
-    if run_id is not None:
-        # The checkpoint's lineage is the *saving* object's, not the
-        # throwaway merged detector's (hierarchical saves).
-        state["meta"]["run_id"] = run_id
     arrays = state["arrays"]
     generation = _next_generation(path)
 

@@ -18,9 +18,10 @@ RETIRED_ENGINE_MESSAGE = (
     "replay the stream with the exact engine to rebuild the state")
 
 
-#: Config keys of the retired multi-process plane, still present in older
+#: Config keys of retired drivers (the multi-process plane and the
+#: hierarchical detector's leaf count), still present in older
 #: checkpoints; :meth:`StreamingConfig.from_dict` ignores them.
-RETIRED_KEYS = ("parallel_mode", "bus_slots", "poll_seconds")
+RETIRED_KEYS = ("parallel_mode", "bus_slots", "poll_seconds", "n_pops")
 
 
 def forgetting_from_half_life(half_life_bins: float) -> float:
@@ -116,11 +117,6 @@ class StreamingConfig:
         aggregator untouched — ingestion-side glitches (a collector
         emitting NaNs, a truncated export) degrade coverage instead of
         killing the run.
-    n_pops:
-        Default leaf count of the hierarchical detector
-        (:class:`~repro.streaming.hierarchy.HierarchicalNetworkDetector`):
-        how many per-PoP ingestion detectors feed the global one.  ``1``
-        collapses the hierarchy to a flat run.
     telemetry:
         Master switch of the observability layer
         (:mod:`repro.telemetry`).  ``False`` (the default) keeps every
@@ -164,7 +160,6 @@ class StreamingConfig:
     adaptive_block_bins: int = 32
     adaptive_freeze_factor: float = 4.0
     on_bad_chunk: str = "raise"
-    n_pops: int = 1
     telemetry: bool = False
     telemetry_sample_rate: float = 0.05
     telemetry_seed: int = 0
@@ -202,7 +197,6 @@ class StreamingConfig:
                 "adaptive_freeze_factor must be > 1")
         require(self.on_bad_chunk in ("raise", "quarantine"),
                 "on_bad_chunk must be 'raise' or 'quarantine'")
-        require(self.n_pops >= 1, "n_pops must be >= 1")
         require(0.0 <= self.telemetry_sample_rate <= 1.0,
                 "telemetry_sample_rate must be in [0, 1]")
         require(self.telemetry_snapshot_every_chunks >= 1,
@@ -220,8 +214,9 @@ class StreamingConfig:
 
         Older checkpoints still carry the settings of retired drivers:
         ``parallel_mode``, ``bus_slots`` and ``poll_seconds`` configured the
-        removed multi-process plane and are dropped; ``n_shards`` above 1
-        asked for the retired column-sharded engine and is rejected.
+        removed multi-process plane and ``n_pops`` the removed hierarchical
+        detector, so they are dropped; ``n_shards`` above 1 asked for the
+        retired column-sharded engine and is rejected.
         """
         data = dict(data)
         for key in RETIRED_KEYS:

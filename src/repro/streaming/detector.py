@@ -197,17 +197,9 @@ class StreamingSubspaceDetector:
     the detection pass (see :mod:`repro.streaming.pipeline`).
     """
 
-    def __init__(self, config: StreamingConfig = StreamingConfig(),
-                 engine=None) -> None:
+    def __init__(self, config: StreamingConfig = StreamingConfig()) -> None:
         self._config = config
-        self._engine = engine if engine is not None else make_engine(config)
-        # A rank-limited engine that can never exceed n_normal components
-        # would stay in warmup forever; reject it loudly up front.
-        rank_limit = getattr(self._engine, "rank_limit", None)
-        require(rank_limit is None or rank_limit > config.n_normal,
-                f"engine tracks only {rank_limit} eigenpairs but the "
-                f"detector needs more than n_normal={config.n_normal}; "
-                f"increase the tracked rank")
+        self._engine = make_engine(config)
         self._adaptive = make_limits_policy(config)
         self._snapshot: Optional[SubspaceSnapshot] = None
         self._bins_at_calibration = 0
@@ -264,10 +256,9 @@ class StreamingSubspaceDetector:
     def engine(self):
         """The underlying running-moments engine.
 
-        An :class:`OnlinePCA` by default, a
+        An :class:`OnlinePCA` by default, or a
         :class:`~repro.streaming.low_rank.LowRankEigenTracker` when the
-        config asks for ``engine="lowrank"``, or whatever an explicit
-        ``engine=`` argument supplied.
+        config asks for ``engine="lowrank"``.
         """
         return self._engine
 
@@ -304,17 +295,6 @@ class StreamingSubspaceDetector:
     def bins_processed(self) -> int:
         """Stream-global index of the next expected bin."""
         return self._next_bin
-
-    def advance_to(self, next_bin: int) -> None:
-        """Record the stream position without ingesting or detecting.
-
-        Used by drivers that split training and detection across objects
-        (the hierarchical global detector detects chunks its *leaves*
-        ingested), so a later checkpoint carries the true position.
-        """
-        require(next_bin >= self._next_bin,
-                "the stream position can only move forward")
-        self._next_bin = int(next_bin)
 
     # ------------------------------------------------------------------ #
     # training
@@ -386,10 +366,8 @@ class StreamingSubspaceDetector:
     def maybe_calibrate(self) -> None:
         """Recalibrate when due: trainable and past the refresh cadence.
 
-        The cadence check drivers share — ``process_chunk`` and the
-        hierarchical global detector both call this after new bins land in
-        the engine, so their snapshots refresh at the identical stream
-        positions.
+        :meth:`process_chunk` calls this after each chunk lands in the
+        engine, so the snapshot refreshes at fixed stream positions.
         """
         if not self._trainable():
             return
@@ -586,7 +564,16 @@ class StreamingSubspaceDetector:
             engine_meta,
             {k[len("engine__"):]: v for k, v in arrays.items()
              if k.startswith("engine__")})
-        detector = cls(config, engine=engine)
+        # A checkpoint is outside input: a rank-limited engine that can
+        # never exceed n_normal components would stay in warmup forever,
+        # so reject it loudly here.
+        rank_limit = getattr(engine, "rank_limit", None)
+        require(rank_limit is None or rank_limit > config.n_normal,
+                f"engine tracks only {rank_limit} eigenpairs but the "
+                f"detector needs more than n_normal={config.n_normal}; "
+                f"increase the tracked rank")
+        detector = cls(config)
+        detector._engine = engine
         if meta["snapshot"] is not None:
             detector._snapshot = SubspaceSnapshot.from_state(
                 meta["snapshot"],

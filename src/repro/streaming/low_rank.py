@@ -30,14 +30,6 @@ Numerical safety comes from a **drift monitor**: every update measures the
 basis orthonormality error ``max|UᵀU − I|`` and, when it exceeds the
 configured tolerance, re-orthonormalizes via a thin QR plus an exact
 ``r x r`` core eigh (cost ``O(p r²)``, still never ``O(p³)``).
-
-Interop: :func:`merge_low_rank` combines two trackers over disjoint
-consecutive stream segments through the same machinery — the later
-tracker's factored basis is one more rank-``r`` update, a small
-``(2r+1)``-sized core problem — and :func:`compress_engine` converts an
-exact :class:`OnlinePCA` (e.g. after a parallel ingest + exact Chan merge)
-into a tracker, so the heavy history can be ingested exactly in parallel
-and then tracked cheaply.
 """
 
 from __future__ import annotations
@@ -49,7 +41,7 @@ import numpy as np
 from repro.streaming.online_pca import _MomentTracker, eigh_descending
 from repro.utils.validation import require
 
-__all__ = ["LowRankEigenTracker", "merge_low_rank", "compress_engine"]
+__all__ = ["LowRankEigenTracker"]
 
 #: Relative floor under which an eigenvalue of the core problem is treated
 #: as numerical zero (kept out of the basis, folded into residual energy).
@@ -125,11 +117,6 @@ class LowRankEigenTracker(_MomentTracker):
         """Scatter-scale energy ``ρ`` outside the tracked basis (exact trace
         complement: ``trace(M) == Σ eigenvalues + ρ``)."""
         return self._residual_energy
-
-    @property
-    def drift_tolerance(self) -> float:
-        """The orthonormality-drift threshold of the re-orth monitor."""
-        return self._drift_tolerance
 
     @property
     def n_reorthogonalizations(self) -> int:
@@ -330,94 +317,3 @@ class LowRankEigenTracker(_MomentTracker):
         tracker._n_reorthogonalizations = int(meta["n_reorthogonalizations"])
         tracker._restore_scalars(meta)
         return tracker
-
-
-def merge_low_rank(earlier: LowRankEigenTracker,
-                   later: LowRankEigenTracker) -> LowRankEigenTracker:
-    """Combine trackers over disjoint consecutive segments — a ``2r`` core.
-
-    The low-rank counterpart of
-    :func:`~repro.streaming.online_pca.merge_online_pca`: the later segment's
-    factored scatter (``U₂ √S₂``, plus the Chan mean-shift column) is one
-    more factored update of the earlier tracker, so the merge costs one
-    ``(r₁+r₂+1)``-sized core eigenproblem instead of anything ``O(p²)``.
-    The residual energies add (the later one undecayed, exactly as the
-    later segment's scatter enters the Chan combine undecayed), keeping
-    the merged trace exact.  Associativity holds in the same sense as the
-    exact merge; the truncation to the top ``r`` pairs is the only
-    deviation from it, bounded by the discarded mass.
-    """
-    require(earlier.forgetting == later.forgetting,
-            "trackers must share the same forgetting factor")
-    require(earlier.drift_tolerance == later.drift_tolerance,
-            "trackers must share the same drift tolerance")
-    if later.n_features is None:
-        return LowRankEigenTracker.from_state(**earlier.state_dict())
-    if earlier.n_features is None:
-        return LowRankEigenTracker.from_state(**later.state_dict())
-    require(earlier.n_features == later.n_features,
-            "trackers must share the same number of OD flows")
-
-    merged = LowRankEigenTracker.from_state(**earlier.state_dict())
-    merged._rank = max(earlier.rank_limit, later.rank_limit)
-    second = later.state_dict()
-    decay = earlier.forgetting ** later.n_bins_seen
-    later_factor = second["arrays"]["basis"] * np.sqrt(
-        second["arrays"]["eigenvalues"])
-
-    def scatter_update(delta: np.ndarray, coefficient: float) -> None:
-        factor = later_factor
-        if coefficient > 0.0:
-            factor = np.concatenate(
-                [factor, np.sqrt(coefficient) * delta[:, np.newaxis]], axis=1)
-        merged._apply_factored_update(factor, decay)
-        merged._residual_energy += float(second["meta"]["residual_energy"])
-
-    merged._merge_weighted_chunk(
-        chunk_weight=second["meta"]["weight_sum"],
-        chunk_weight_sq=second["meta"]["weight_sq_sum"],
-        chunk_mean=second["arrays"]["mean"],
-        decay=decay,
-        decay_sq=decay**2,
-        n_bins=later.n_bins_seen,
-        scatter_update=scatter_update,
-    )
-    return merged
-
-
-def compress_engine(engine, rank: int,
-                    drift_tolerance: float = 1e-10) -> LowRankEigenTracker:
-    """Compress any moment engine into a :class:`LowRankEigenTracker`.
-
-    Accepts an :class:`OnlinePCA` (the interop path: ingest the heavy
-    history exactly in parallel, merge, then track cheaply) or another
-    tracker (re-compression to a smaller rank).  The top-``rank``
-    eigenpairs are kept and everything else becomes residual energy, so
-    the compressed trace equals the source trace exactly.
-    """
-    require(rank >= 1, "rank must be >= 1")
-    require(engine.n_features is not None, "engine has no data to compress")
-    values, axes = engine.eigenbasis()
-    scale = engine.weight_sum - 1.0
-    require(scale > 0.0, "need total weight > 1 to compress an engine")
-    keep = int(min(rank, axes.shape[1], np.count_nonzero(values > 0.0)))
-    kept_values = values[:keep] * scale
-    total_energy = float(values.sum()) * scale
-    meta = {
-        "kind": LowRankEigenTracker.STATE_KIND,
-        "forgetting": engine.forgetting,
-        "weight_sum": engine.weight_sum,
-        "weight_sq_sum": engine.weight_sq_sum,
-        "n_bins_seen": engine.n_bins_seen,
-        "has_data": True,
-        "rank": int(rank),
-        "drift_tolerance": float(drift_tolerance),
-        "residual_energy": max(0.0, total_energy - float(kept_values.sum())),
-        "n_reorthogonalizations": 0,
-    }
-    arrays = {
-        "mean": np.array(engine.mean, dtype=float),
-        "basis": np.array(axes[:, :keep], dtype=float),
-        "eigenvalues": np.array(kept_values, dtype=float),
-    }
-    return LowRankEigenTracker.from_state(meta, arrays)

@@ -22,10 +22,7 @@ update) with ``O(p²)`` memory, independent of the stream length ``n``.
 The weighting/decay bookkeeping lives once in the :class:`_MomentTracker`
 base shared with the low-rank engine
 (:class:`~repro.streaming.low_rank.LowRankEigenTracker`); only how the
-scatter is stored differs between the two.  Engines that ingested
-disjoint consecutive segments of a stream combine exactly through
-:func:`merge_online_pca`, the same Chan update lifted to whole moment
-tuples (the hierarchical detector's model merge).
+scatter is stored differs between the two.
 """
 
 from __future__ import annotations
@@ -36,14 +33,14 @@ import numpy as np
 
 from repro.utils.validation import ensure_2d, require
 
-__all__ = ["OnlinePCA", "eigh_descending", "merge_online_pca"]
+__all__ = ["OnlinePCA", "eigh_descending"]
 
 
 def eigh_descending(covariance: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Descending, clipped eigendecomposition of a (near-)symmetric matrix.
 
-    Symmetrizes first so tiny floating-point asymmetries (e.g. from a
-    merged scatter) cannot perturb the solver, clips negative
+    Symmetrizes first so tiny floating-point asymmetries (e.g. from the
+    accumulated scatter updates) cannot perturb the solver, clips negative
     round-off eigenvalues to zero, and returns read-only arrays — the
     eigenbasis step of :class:`OnlinePCA` and of every engine built on
     its moments.
@@ -149,11 +146,6 @@ class _MomentTracker:
         return self._weight_sum
 
     @property
-    def weight_sq_sum(self) -> float:
-        """Current total squared weight ``Σ λ^{2d}`` over all ingested bins."""
-        return self._weight_sq_sum
-
-    @property
     def effective_samples(self) -> float:
         """Kish effective sample size ``(Σw)² / Σw²`` of the moments.
 
@@ -231,10 +223,7 @@ class _MomentTracker:
                               scatter_update) -> None:
         """The pairwise Chan parallel-moments combine, applied in place.
 
-        The single home of the combine arithmetic: :meth:`partial_fit`
-        passes a raw chunk's weighted moments here, and
-        :func:`merge_online_pca` passes a whole
-        engine's moment tuple — both therefore stay exactly in step.
+        :meth:`partial_fit` passes a raw chunk's weighted moments here;
         *scatter_update* receives ``(delta, outer_coefficient)`` and must
         fold the chunk scatter plus ``outer(delta, delta) * coefficient``
         into the stored (decayed) scatter.
@@ -331,11 +320,6 @@ class OnlinePCA(_MomentTracker):
             chunk_scatter = centered.T @ centered
         else:
             chunk_scatter = (centered * weights[:, np.newaxis]).T @ centered
-        self._merge_scatter(chunk_scatter, delta, decay, outer_coefficient)
-
-    def _merge_scatter(self, chunk_scatter: np.ndarray, delta: np.ndarray,
-                       decay: float, outer_coefficient: float) -> None:
-        """Fold an already-computed chunk/segment scatter into the state."""
         self._scatter = (
             self._scatter * decay
             + chunk_scatter
@@ -389,56 +373,3 @@ class OnlinePCA(_MomentTracker):
             engine._scatter = scatter
         engine._restore_scalars(meta)
         return engine
-
-
-def merge_online_pca(earlier: OnlinePCA, later: OnlinePCA) -> OnlinePCA:
-    """Combine engines over disjoint consecutive stream segments, exactly.
-
-    This is the pairwise Chan et al. parallel-moments update applied to two
-    whole moment tuples: *earlier* holds the moments of the first segment,
-    *later* those of the segment that follows it.  With ``forgetting = 1``
-    the operation is associative and commutative (segment order is
-    irrelevant); with ``λ < 1`` it stays associative but weights *earlier*
-    down by ``λ^m`` for the ``m`` bins *later* ingested, so order matters —
-    exactly as if the segments had been streamed through one engine.
-
-    A pair of :class:`~repro.streaming.low_rank.LowRankEigenTracker`
-    engines is dispatched to :func:`~repro.streaming.low_rank.merge_low_rank`
-    (the same Chan combine through a small factored core instead of the
-    full scatter); mixing a low-rank tracker with an exact engine is
-    rejected — compress the exact one first via
-    :func:`~repro.streaming.low_rank.compress_engine`.
-    """
-    from repro.streaming.low_rank import LowRankEigenTracker, merge_low_rank
-    low_rank_flags = (isinstance(earlier, LowRankEigenTracker),
-                      isinstance(later, LowRankEigenTracker))
-    if all(low_rank_flags):
-        return merge_low_rank(earlier, later)
-    require(not any(low_rank_flags),
-            "cannot merge a low-rank tracker with an exact engine; compress "
-            "the exact engine via compress_engine first")
-    require(earlier.forgetting == later.forgetting,
-            "engines must share the same forgetting factor")
-    if later.n_features is None:
-        return OnlinePCA.from_state(**earlier.state_dict())
-    if earlier.n_features is None:
-        return OnlinePCA.from_state(**later.state_dict())
-    require(earlier.n_features == later.n_features,
-            "engines must share the same number of OD flows")
-
-    merged = OnlinePCA.from_state(**earlier.state_dict())
-    second = later.state_dict()
-    decay = earlier.forgetting ** later.n_bins_seen
-    # The shared Chan combine of _MomentTracker, fed a whole moment tuple
-    # (the later segment) instead of a raw chunk.
-    merged._merge_weighted_chunk(
-        chunk_weight=second["meta"]["weight_sum"],
-        chunk_weight_sq=second["meta"]["weight_sq_sum"],
-        chunk_mean=second["arrays"]["mean"],
-        decay=decay,
-        decay_sq=decay**2,
-        n_bins=later.n_bins_seen,
-        scatter_update=lambda delta, coefficient: merged._merge_scatter(
-            second["arrays"]["scatter"], delta, decay, coefficient),
-    )
-    return merged

@@ -27,11 +27,13 @@ __all__ = ["HealthSnapshot", "render_status_table"]
 
 SNAPSHOT_VERSION = 1
 
-#: Fields of the retired multi-process plane (per-worker chunk counts,
-#: supervised restarts, the degraded flag).  Snapshots written before its
-#: removal still carry them; :meth:`HealthSnapshot.from_dict` drops them
-#: silently, since no newer reader would understand them either.
-RETIRED_FIELDS = ("workers", "worker_restarts", "degraded")
+#: Fields of retired drivers: the multi-process plane's per-worker chunk
+#: counts, supervised restarts and degraded flag, and the hierarchical
+#: detector's leaf quarantine count and coverage.  Snapshots written
+#: before their removal still carry them; :meth:`HealthSnapshot.from_dict`
+#: drops them silently, since no newer reader would understand them either.
+RETIRED_FIELDS = ("workers", "worker_restarts", "degraded",
+                  "quarantined_leaves", "coverage")
 
 
 @dataclass
@@ -51,12 +53,9 @@ class HealthSnapshot:
     stage_seconds: Dict[str, Dict[str, float]] = field(default_factory=dict)
     metrics: Dict[str, object] = field(default_factory=dict)
     # Fault-tolerance surface (defaults keep pre-existing snapshots
-    # loading): checkpoint fallback activity, hierarchy leaf quarantine,
-    # and malformed-chunk skips.
+    # loading): checkpoint fallback activity and malformed-chunk skips.
     checkpoint_fallbacks: int = 0
     checkpoints_quarantined: int = 0
-    quarantined_leaves: int = 0
-    coverage: float = 1.0
     bad_chunks: int = 0
 
     # ------------------------------------------------------------------ #
@@ -95,8 +94,6 @@ class HealthSnapshot:
                 "p95_seconds": metric.quantile(0.95),
                 "max_seconds": metric.max,
             }
-        # Coverage defaults to full when the run has no hierarchy gauge.
-        coverage = registry.value("hierarchy_coverage", default=1.0)
         return cls(
             created_unix=(time.time() if created_unix is None
                           else float(created_unix)),
@@ -115,8 +112,6 @@ class HealthSnapshot:
             checkpoint_fallbacks=int(registry.value("checkpoint_fallbacks")),
             checkpoints_quarantined=int(
                 registry.value("checkpoints_quarantined")),
-            quarantined_leaves=int(registry.value("quarantined_leaves")),
-            coverage=float(coverage),
             bad_chunks=int(registry.value("bad_chunks")),
         )
 
@@ -153,8 +148,8 @@ class HealthSnapshot:
         """Atomically replace *path* with this snapshot as JSON.
 
         The temp name is unique per write (pid + random suffix): two
-        processes snapshotting the same path — a coordinator and a leaf, or
-        two overlapping runs — must never rename each other's half-written
+        processes snapshotting the same path — two overlapping runs, or a
+        run and its restart — must never rename each other's half-written
         file.  The payload is fsynced before the rename, matching the
         checkpoint module's durability discipline.
         """
@@ -218,15 +213,12 @@ def render_status_table(snapshot: HealthSnapshot) -> str:
     ]
     faults = (snapshot.checkpoint_fallbacks
               or snapshot.checkpoints_quarantined
-              or snapshot.quarantined_leaves or snapshot.bad_chunks
-              or snapshot.coverage < 1.0)
+              or snapshot.bad_chunks)
     if faults:
         lines += [
             "",
             f"ckpt fallbacks     {snapshot.checkpoint_fallbacks}"
             f"  ({snapshot.checkpoints_quarantined} files quarantined)",
-            f"leaf coverage      {snapshot.coverage:.2f}"
-            f"  ({snapshot.quarantined_leaves} leaves quarantined)",
             f"bad chunks         {snapshot.bad_chunks}",
         ]
     if snapshot.events_by_type:

@@ -9,11 +9,7 @@ seeds (the CI ``chaos`` job runs exactly this file):
    generation, and a suffix replay into the idempotent
    :class:`~repro.service.EventStore` ends with the **byte-identical**
    ``table_digest()`` of an uninterrupted run.
-2. **Leaf quarantine** — a silent ingestion leaf is auto-quarantined at
-   its watermark deadline, global detection continues over the healthy
-   sub-hierarchy (reporting exactly its events), and reintegration
-   restores full parity via the exact merge.
-3. **Alert channel down** — an always-failing sink dead-letters every
+2. **Alert channel down** — an always-failing sink dead-letters every
    alert while the run itself completes with its full event table.
 
 When ``CHAOS_ARTIFACT_DIR`` is set (the CI job does), quarantined
@@ -31,9 +27,7 @@ from repro.service import AlertDispatcher, EventStore
 from repro.streaming import (StreamingConfig, StreamingNetworkDetector,
                              chunk_series, load_checkpoint, save_checkpoint)
 from repro.streaming.checkpoint import QUARANTINE_DIRNAME
-from repro.streaming.hierarchy import HierarchicalNetworkDetector
-from repro.telemetry import (HealthSnapshot, MetricsRegistry,
-                             prometheus_exposition)
+from repro.telemetry import HealthSnapshot, MetricsRegistry
 
 CHUNK = 48
 SEED = 11
@@ -127,62 +121,6 @@ class TestCheckpointCorruption:
             with open(victim, "rb") as handle:
                 damaged.append(handle.read())
         assert damaged[0] == damaged[1]
-
-
-class TestLeafQuarantine:
-    def test_silent_leaf_reports_healthy_subhierarchy_events(self, dataset):
-        config = StreamingConfig(min_train_bins=128,
-                                 recalibrate_every_bins=32, telemetry=True)
-        chunks = list(chunk_series(dataset.series, CHUNK))
-        healthy = [c for i, c in enumerate(chunks) if i % 2 == 0]
-        # Flat reference over exactly the healthy pop's chunks.
-        flat = StreamingNetworkDetector(
-            StreamingConfig(min_train_bins=128, recalibrate_every_bins=32))
-        for chunk in healthy:
-            flat.process_chunk(chunk)
-        flat_report = flat.finish()
-
-        hierarchy = HierarchicalNetworkDetector(
-            config, n_pops=2, leaf_deadline_bins=2 * CHUNK)
-        for chunk in healthy:
-            hierarchy.process_chunk(chunk, pop=0)  # pop 1 stays silent
-        report = hierarchy.finish()
-
-        assert hierarchy.quarantined_pops == frozenset({1})
-        assert hierarchy.coverage == 0.5
-        assert report.events == flat_report.events
-        registry = hierarchy.telemetry.registry
-        assert registry.value("leaf_quarantines") == 1
-        assert registry.value("quarantined_leaves") == 1.0
-        assert registry.value("hierarchy_coverage") == 0.5
-        snapshot = HealthSnapshot.from_registry(registry)
-        assert snapshot.quarantined_leaves == 1
-        assert snapshot.coverage == 0.5
-        assert ("repro_hierarchy_coverage 0.5"
-                in prometheus_exposition(registry))
-
-    def test_reintegration_restores_full_parity(self, dataset):
-        config = StreamingConfig(min_train_bins=128,
-                                 recalibrate_every_bins=32)
-        chunks = list(chunk_series(dataset.series, CHUNK))
-        reference = HierarchicalNetworkDetector(config, n_pops=2)
-        for chunk in chunks:
-            reference.process_chunk(chunk)
-        reference_report = reference.finish()
-
-        disturbed = HierarchicalNetworkDetector(config, n_pops=2)
-        for index, chunk in enumerate(chunks):
-            if index == 1:
-                disturbed.quarantine_leaf(1)
-                assert disturbed.coverage == 0.5
-            # Round-robin routing sends chunk 1 to pop 1, whose arrival
-            # auto-reintegrates the quarantined leaf via the exact merge.
-            disturbed.process_chunk(chunk)
-        report = disturbed.finish()
-
-        assert disturbed.quarantined_pops == frozenset()
-        assert disturbed.coverage == 1.0
-        assert report.events == reference_report.events
 
 
 class TestAlertChannelDown:

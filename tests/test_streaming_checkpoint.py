@@ -132,8 +132,8 @@ class TestCheckpointRoundtrip:
 
 class TestRetiredConfigKeys:
     """Checkpoints written while the config still carried ``n_shards``,
-    ``parallel_mode``, ``bus_slots`` and ``poll_seconds`` (the state below
-    is that shape, built by hand)."""
+    ``parallel_mode``, ``bus_slots``, ``poll_seconds`` and ``n_pops`` (the
+    state below is that shape, built by hand)."""
 
     def _pre_retirement_state(self, small_dataset, live_config, **retired):
         detector = StreamingNetworkDetector(live_config)
@@ -165,6 +165,19 @@ class TestRetiredConfigKeys:
         assert restored.config == live_config
         assert not hasattr(restored.config, "bus_slots")
         assert not hasattr(restored.config, "poll_seconds")
+        for chunk in _chunks(small_dataset)[4:]:
+            restored.process_chunk(chunk)
+        assert event_parity(uninterrupted.events,
+                            restored.finish().events).exact
+
+    def test_hierarchy_leaf_count_is_dropped(self, small_dataset,
+                                             live_config, uninterrupted):
+        # Every checkpoint written while the hierarchy existed carries it.
+        state = self._pre_retirement_state(small_dataset, live_config,
+                                           n_pops=1)
+        restored = StreamingNetworkDetector.from_state(**state)
+        assert restored.config == live_config
+        assert not hasattr(restored.config, "n_pops")
         for chunk in _chunks(small_dataset)[4:]:
             restored.process_chunk(chunk)
         assert event_parity(uninterrupted.events,
@@ -286,9 +299,9 @@ class TestCheckpointLineage:
     """A checkpoint directory belongs to one detector run: overwriting a
     foreign run's checkpoint (and GCing its arrays) must be refused."""
 
-    def _trained(self, small_dataset, live_config, n_chunks=2):
+    def _trained(self, small_dataset, live_config):
         detector = StreamingNetworkDetector(live_config)
-        for chunk in _chunks(small_dataset)[:n_chunks]:
+        for chunk in _chunks(small_dataset)[:2]:
             detector.process_chunk(chunk)
         return detector
 
@@ -356,27 +369,6 @@ class TestCheckpointLineage:
         detector = self._trained(small_dataset, live_config)
         save_checkpoint(detector, tmp_path / "ckpt")
         assert load_checkpoint(tmp_path / "ckpt").run_id == detector.run_id
-
-    def test_hierarchical_saves_keep_one_lineage(self, small_dataset,
-                                                 live_config, tmp_path):
-        """Every hierarchical save goes through a throwaway merged flat
-        detector; the checkpoint must carry the hierarchy's own stable id,
-        so its repeated saves pass the lineage check."""
-        from repro.streaming.hierarchy import HierarchicalNetworkDetector
-
-        chunks = _chunks(small_dataset)
-        hierarchy = HierarchicalNetworkDetector(live_config, n_pops=2)
-        hierarchy.process_chunk(chunks[0])
-        path = save_checkpoint(hierarchy, tmp_path / "ckpt")
-        manifest = json.loads((path / MANIFEST_FILENAME).read_text())
-        assert manifest["meta"]["run_id"] == hierarchy.run_id
-
-        hierarchy.process_chunk(chunks[1])
-        save_checkpoint(hierarchy, path)  # same hierarchy: allowed
-
-        foreign = self._trained(small_dataset, live_config, n_chunks=1)
-        with pytest.raises(ValueError, match="different detector run"):
-            save_checkpoint(foreign, path)
 
 
 class TestGenerationsAndFallback:

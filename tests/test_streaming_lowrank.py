@@ -10,9 +10,7 @@ The tracker promises three things, each tested here:
    residual scalar equals the exact engine's scatter trace to float
    round-off, so the SPE limit's ``φ₁`` is exact in expectation.
 3. **Drop-in integration** — detector calibration consumes the maintained
-   basis directly, checkpoints round-trip bitwise with restart parity,
-   ``merge_online_pca`` dispatches the small-core merge, and
-   ``compress_engine`` bridges from the exact/sharded engines.
+   basis directly, and checkpoints round-trip bitwise with restart parity.
 """
 
 import numpy as np
@@ -26,10 +24,7 @@ from repro.streaming import (
     StreamingNetworkDetector,
     StreamingSubspaceDetector,
     chunk_series,
-    compress_engine,
     make_engine,
-    merge_low_rank,
-    merge_online_pca,
     stream_detect,
 )
 
@@ -206,13 +201,19 @@ class TestRankEdgeCases:
         assert detector.snapshot is not None
 
     def test_rank_below_n_normal_is_rejected_up_front(self):
-        """An explicitly undersized engine (r < k) fails loudly, not quietly
-        (without the check it would sit in warmup forever)."""
-        config = StreamingConfig(n_normal=4, min_train_bins=4, identify=False)
-        with pytest.raises(ValueError, match="eigenpairs"):
-            StreamingSubspaceDetector(config, engine=LowRankEigenTracker(rank=2))
-        with pytest.raises(ValueError, match="eigenpairs"):
-            StreamingSubspaceDetector(config, engine=LowRankEigenTracker(rank=4))
+        """A checkpointed engine too small for the restoring config
+        (r <= k) fails loudly at restore, not quietly (without the check it
+        would sit in warmup forever)."""
+        config = StreamingConfig(n_normal=4, min_train_bins=4, identify=False,
+                                 engine="lowrank")
+        for n_normal, rank_slack in ((1, 1), (2, 2)):  # r = 2, then r = 4
+            saved = StreamingSubspaceDetector(StreamingConfig(
+                n_normal=n_normal, min_train_bins=4, identify=False,
+                engine="lowrank", rank_slack=rank_slack))
+            state = saved.state_dict()
+            with pytest.raises(ValueError, match="eigenpairs"):
+                StreamingSubspaceDetector.from_state(
+                    config, state["meta"], state["arrays"])
 
     def test_config_rejects_invalid_lowrank_knobs(self):
         with pytest.raises(ValueError, match="rank_slack"):
@@ -264,88 +265,6 @@ class TestRecalibrationStaleness:
             detector.process_chunk(_signal_stream(rng, 4, 10))
             snapshots.append(detector.snapshot)
         assert all(a is not b for a, b in zip(snapshots[:-1], snapshots[1:]))
-
-
-class TestLowRankMerge:
-    def test_merge_matches_single_tracker_over_segments(self):
-        rng = np.random.default_rng(14)
-        for forgetting in (1.0, 0.99):
-            matrix = _signal_stream(rng, 160, 40)
-            first = LowRankEigenTracker(rank=12, forgetting=forgetting)
-            second = LowRankEigenTracker(rank=12, forgetting=forgetting)
-            whole = LowRankEigenTracker(rank=12, forgetting=forgetting)
-            first.partial_fit(matrix[:90])
-            second.partial_fit(matrix[90:])
-            whole.partial_fit(matrix[:90])
-            whole.partial_fit(matrix[90:])
-            merged = merge_low_rank(first, second)
-            np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
-            assert merged.weight_sum == pytest.approx(whole.weight_sum)
-            assert merged.n_bins_seen == whole.n_bins_seen
-            merged_values, merged_axes = merged.eigenbasis()
-            whole_values, whole_axes = whole.eigenbasis()
-            assert _max_sin_angle(whole_axes, merged_axes, 4) < MAX_SIN_ANGLE
-            np.testing.assert_allclose(merged_values[:SIGNAL_RANK],
-                                       whole_values[:SIGNAL_RANK], rtol=1e-7)
-            # Trace stays exact through the merge.
-            np.testing.assert_allclose(
-                float(np.sum(merged_values)) * (merged.weight_sum - 1.0),
-                float(np.sum(whole_values)) * (whole.weight_sum - 1.0),
-                rtol=1e-10)
-
-    def test_merge_online_pca_dispatches_low_rank_pairs(self):
-        rng = np.random.default_rng(15)
-        matrix = _signal_stream(rng, 100, 20)
-        first, second = LowRankEigenTracker(rank=8), LowRankEigenTracker(rank=8)
-        first.partial_fit(matrix[:50])
-        second.partial_fit(matrix[50:])
-        merged = merge_online_pca(first, second)
-        assert isinstance(merged, LowRankEigenTracker)
-        reference = merge_low_rank(first, second)
-        np.testing.assert_array_equal(merged.eigenbasis()[1],
-                                      reference.eigenbasis()[1])
-
-    def test_merge_rejects_mixed_engine_kinds(self):
-        rng = np.random.default_rng(16)
-        matrix = _signal_stream(rng, 60, 10)
-        exact, tracker = OnlinePCA(), LowRankEigenTracker(rank=6)
-        exact.partial_fit(matrix)
-        tracker.partial_fit(matrix)
-        with pytest.raises(ValueError, match="compress"):
-            merge_online_pca(exact, tracker)
-        with pytest.raises(ValueError, match="compress"):
-            merge_online_pca(tracker, exact)
-
-    def test_merge_with_empty_tracker_is_identity(self):
-        rng = np.random.default_rng(17)
-        tracker = LowRankEigenTracker(rank=6)
-        tracker.partial_fit(_signal_stream(rng, 40, 10))
-        for merged in (merge_low_rank(tracker, LowRankEigenTracker(rank=6)),
-                       merge_low_rank(LowRankEigenTracker(rank=6), tracker)):
-            np.testing.assert_array_equal(merged.eigenbasis()[1],
-                                          tracker.eigenbasis()[1])
-            assert merged.weight_sum == tracker.weight_sum
-
-
-class TestCompressEngine:
-    def test_compress_exact_engine_keeps_top_pairs_and_trace(self):
-        rng = np.random.default_rng(18)
-        exact = OnlinePCA()
-        exact.partial_fit(_signal_stream(rng, 120, 30))
-        tracker = compress_engine(exact, rank=8)
-        exact_values, exact_axes = exact.eigenbasis()
-        values, axes = tracker.eigenbasis()
-        np.testing.assert_allclose(values[:8], exact_values[:8], rtol=1e-12)
-        np.testing.assert_allclose(np.abs(np.sum(axes * exact_axes[:, :8],
-                                                 axis=0)), 1.0, rtol=1e-9)
-        np.testing.assert_allclose(float(np.sum(values)),
-                                   float(np.sum(exact_values)), rtol=1e-12)
-        assert tracker.weight_sum == exact.weight_sum
-        assert tracker.n_bins_seen == exact.n_bins_seen
-
-    def test_compress_rejects_empty_engine(self):
-        with pytest.raises(ValueError, match="no data"):
-            compress_engine(OnlinePCA(), rank=4)
 
 
 class TestDetectorIntegration:
