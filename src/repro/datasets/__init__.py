@@ -17,7 +17,7 @@ from repro.datasets.synthetic import (
     generate_drifting_dataset,
     small_scenario,
 )
-from repro.datasets.streaming import SyntheticChunkSource, synthetic_chunk_stream
+from repro.datasets.streaming import SyntheticChunkSource
 
 __all__ = [
     "DatasetConfig",
@@ -26,5 +26,4 @@ __all__ = [
     "generate_drifting_dataset",
     "small_scenario",
     "SyntheticChunkSource",
-    "synthetic_chunk_stream",
 ]

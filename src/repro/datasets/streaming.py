@@ -9,9 +9,6 @@ memory stays bounded by one block.  Because block seeds and the time axis
 depend only on the block index, :meth:`SyntheticChunkSource.resume`
 replays the exact suffix of the stream from any bin — the resume path of
 a checkpoint-restored detector.
-
-:func:`synthetic_chunk_stream` is the original generator-shaped entry
-point, now a thin wrapper over the source.
 """
 
 from __future__ import annotations
@@ -21,12 +18,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.datasets.synthetic import DatasetConfig, generate_abilene_dataset
-from repro.streaming.sources import TrafficChunk
+from repro.streaming.sources import TrafficChunk, chunk_end
 from repro.topology.abilene import abilene_topology
 from repro.topology.network import Network
 from repro.utils.validation import require
 
-__all__ = ["SyntheticChunkSource", "synthetic_chunk_stream"]
+__all__ = ["SyntheticChunkSource"]
 
 
 class SyntheticChunkSource:
@@ -133,12 +130,9 @@ class SyntheticChunkSource:
                 start_seconds=offset_bins * self._block_config.bin_seconds,
             )
             series = dataset.series
-            # Within-block chunk boundaries are fixed multiples of
-            # chunk_size, so a mid-block resume reproduces the chunks an
-            # uninterrupted run would have emitted from that point on.
+            # Boundaries are cut per block, counted from the block start.
             while local < block_bins:
-                stop = min(block_bins, (local // self._chunk_size + 1)
-                           * self._chunk_size)
+                stop = chunk_end(local, self._chunk_size, block_bins)
                 yield TrafficChunk(
                     start_bin=offset_bins + local,
                     matrices={t: series.matrix(t)[local:stop, :]
@@ -146,24 +140,3 @@ class SyntheticChunkSource:
                 local = stop
             local = 0
             block_index += 1
-
-
-def synthetic_chunk_stream(
-    chunk_size: int = 64,
-    block_config: DatasetConfig = DatasetConfig(weeks=1.0 / 7.0),
-    seed: int = 0,
-    network: Optional[Network] = None,
-    max_blocks: Optional[int] = None,
-) -> Iterator[TrafficChunk]:
-    """Yield an (optionally unbounded) stream of synthetic traffic chunks.
-
-    Generator-shaped wrapper over :class:`SyntheticChunkSource` (which
-    new code should prefer: it is re-iterable and resumable at any bin).
-    """
-    return iter(SyntheticChunkSource(
-        chunk_size=chunk_size,
-        block_config=block_config,
-        seed=seed,
-        network=network,
-        max_blocks=max_blocks,
-    ))

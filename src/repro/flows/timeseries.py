@@ -11,7 +11,7 @@ evaluation code.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -212,24 +212,6 @@ class TrafficMatrixSeries:
         """Deep copy of the series."""
         matrices = {t: m.copy() for t, m in self._matrices.items()}
         return TrafficMatrixSeries(self._od_pairs, self._binning, matrices)
-
-    def iter_chunks(
-        self, chunk_size: int,
-    ) -> Iterator[Tuple[int, Dict[TrafficType, np.ndarray]]]:
-        """Iterate over consecutive row-chunks of all matrices.
-
-        Yields ``(start_bin, {traffic_type: chunk})`` where each chunk is a
-        *view* of ``chunk_size`` rows (the final chunk may be shorter) — no
-        data is copied, so this is the zero-cost adapter feeding the
-        streaming subsystem.  Callers must not mutate the views.
-        """
-        require(chunk_size >= 1, "chunk_size must be >= 1")
-        for start in range(0, self.n_bins, chunk_size):
-            stop = min(start + chunk_size, self.n_bins)
-            yield start, {
-                traffic_type: matrix[start:stop, :]
-                for traffic_type, matrix in self._matrices.items()
-            }
 
     def rebin(self, coarse_bin_seconds: int) -> "TrafficMatrixSeries":
         """Aggregate into coarser bins by summation (e.g. 1-min → 5-min).

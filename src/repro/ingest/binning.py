@@ -32,7 +32,7 @@ import numpy as np
 from repro.flows.timeseries import TrafficType
 from repro.ingest.csv_io import RecordBatch
 from repro.routing.resolver import PoPResolver, anonymize_address
-from repro.streaming.sources import TrafficChunk
+from repro.streaming.sources import TrafficChunk, chunk_end
 from repro.utils.validation import require
 
 __all__ = ["BinningStats", "FlowRecordBinner"]
@@ -392,12 +392,8 @@ class FlowRecordBinner:
             sealed = min(sealed, self._n_bins)
         chunks: List[TrafficChunk] = []
         while True:
-            # Boundaries at fixed global multiples of chunk_size: resumed
-            # streams reproduce the original chunking.
-            boundary = (self._emit_floor // self._chunk_size + 1) \
-                * self._chunk_size
-            if self._n_bins is not None:
-                boundary = min(boundary, self._n_bins)
+            boundary = chunk_end(self._emit_floor, self._chunk_size,
+                                 self._n_bins)
             if boundary > sealed or boundary <= self._emit_floor:
                 return chunks
             chunks.append(self._emit_range(self._emit_floor, boundary))
@@ -411,8 +407,7 @@ class FlowRecordBinner:
         end = self._n_bins if self._n_bins is not None else self._high_bin + 1
         chunks: List[TrafficChunk] = []
         while self._emit_floor < end:
-            boundary = min(end, (self._emit_floor // self._chunk_size + 1)
-                           * self._chunk_size)
+            boundary = chunk_end(self._emit_floor, self._chunk_size, end)
             chunks.append(self._emit_range(self._emit_floor, boundary))
             self._emit_floor = boundary
         require(not np.any(self._window_bytes),

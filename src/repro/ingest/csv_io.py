@@ -17,10 +17,10 @@ mid-file), fields go missing, counters come back ``NaN``.  Parsing is
 batch-vectorized through numpy with an explicit policy: a batch is parsed
 column-wise in one shot, and only when that fails (a malformed or header
 row somewhere in the batch) does the parser drop to per-line
-classification of exactly that batch.  ``pandas.read_csv`` can be chosen
-as the engine where pandas is installed (it only walks the file; numeric
-conversion still runs through the shared fast path, keeping parity
-engine-independent); the numpy path is the dependency-free reference.
+classification of exactly that batch.  Blocks parse inline or, with
+``workers > 1``, in a process pool that keeps a bounded number of blocks
+in flight; either way batches come out in file order with the same bytes
+and the same :class:`ParseStats`.
 """
 
 from __future__ import annotations
@@ -67,18 +67,6 @@ class ParseStats:
     bad_rows: int = 0        #: rows dropped (or that raised) under the policy
     header_rows: int = 0     #: stray header lines skipped (concat artifacts)
     propagated_rows: int = 0  #: rows kept with non-finite bytes/packets
-    engine: str = ""         #: parser engine actually used
-
-    def merge(self, other: "ParseStats") -> "ParseStats":
-        """Element-wise sum (engines must agree; used by multi-file reads)."""
-        return ParseStats(
-            rows=self.rows + other.rows,
-            records=self.records + other.records,
-            bad_rows=self.bad_rows + other.bad_rows,
-            header_rows=self.header_rows + other.header_rows,
-            propagated_rows=self.propagated_rows + other.propagated_rows,
-            engine=self.engine or other.engine,
-        )
 
 
 @dataclass
@@ -145,7 +133,7 @@ def export_flow_csv(records: Iterable[FlowRecord], path,
 
 
 # --------------------------------------------------------------------- #
-# parsing — numpy engine
+# parsing
 # --------------------------------------------------------------------- #
 def _parse_addresses(values: List[str], n: int) -> np.ndarray:
     """Integer addresses from string fields (dotted-quad tolerated)."""
@@ -347,25 +335,27 @@ def _iter_line_blocks(path, batch_rows: int) -> Iterator[List[str]]:
             yield lines
 
 
-def _read_batches_numpy(path, batch_rows: int, on_bad_row: str,
-                        stats: ParseStats,
-                        workers: int = 1) -> Iterator[RecordBatch]:
-    blocks = _iter_line_blocks(path, batch_rows)
+def _parse_blocks(blocks: Iterator[List[str]], on_bad_row: str,
+                  workers: int):
+    """``(batch, local ParseStats)`` per block, in block order."""
     if workers <= 1:
-        parsed = (_parse_block(lines, on_bad_row) for lines in blocks)
-        yield from _drain_parsed(parsed, stats)
+        for lines in blocks:
+            yield _parse_block(lines, on_bad_row)
         return
-    # Process-parallel parse: blocks fan out to worker processes, results
-    # come back in file order (pool.map preserves it), and the merged
-    # stats are identical to the serial pass because each block accounts
-    # for itself.  Binning stays downstream and sequential — ordering and
-    # byte-parity are untouched.
+    # Process-parallel parse: each block accounts for itself, so results
+    # drained in submission order equal the serial pass.  At most
+    # 2 x workers blocks are in flight — memory is bounded by batch_rows,
+    # not by the file size.  Binning stays downstream and sequential.
+    from collections import deque
     from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
+    pending: deque = deque()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from _drain_parsed(
-            pool.map(partial(_parse_block, on_bad_row=on_bad_row),
-                     blocks), stats)
+        for lines in blocks:
+            pending.append(pool.submit(_parse_block, lines, on_bad_row))
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _drain_parsed(parsed, stats: ParseStats) -> Iterator[RecordBatch]:
@@ -379,52 +369,10 @@ def _drain_parsed(parsed, stats: ParseStats) -> Iterator[RecordBatch]:
             yield batch
 
 
-# --------------------------------------------------------------------- #
-# parsing — optional pandas engine
-# --------------------------------------------------------------------- #
-def _read_batches_pandas(path, batch_rows: int, on_bad_row: str,
-                         stats: ParseStats) -> Iterator[RecordBatch]:
-    import pandas as pd  # gated: the numpy engine is the reference
-
-    # pandas does the chunked file walking; fields stay strings (dtype=str,
-    # keep_default_na=False) and numeric conversion goes through the same
-    # numpy fast path as the reference engine, so the byte-parity guarantee
-    # is engine-independent.
-    frames = pd.read_csv(
-        path, names=FLOW_CSV_COLUMNS, header=None, chunksize=batch_rows,
-        dtype=str, keep_default_na=False)
-
-    def parsed():  # pragma: no cover - exercised only with pandas
-        for frame in frames:
-            lines = [",".join(row) + "\n"
-                     for row in frame.itertuples(index=False)]
-            yield _parse_block(lines, on_bad_row)
-
-    yield from _drain_parsed(parsed(), stats)
-
-
-def _resolve_engine(engine: str) -> str:
-    require(engine in ("auto", "numpy", "pandas"),
-            f"unknown parse engine {engine!r}")
-    if engine == "pandas":
-        try:
-            import pandas  # noqa: F401
-        except ImportError as exc:
-            raise RuntimeError(
-                "engine='pandas' requested but pandas is not installed; "
-                "use engine='numpy' (the dependency-free reference)"
-            ) from exc
-        return "pandas"
-    # "auto" prefers the numpy reference: it is always present and its
-    # parity behaviour is what the round-trip proof is stated against.
-    return "numpy"
-
-
 def read_flow_batches(
     paths: Union[str, Sequence[str]],
     batch_rows: int = 8192,
     on_bad_row: str = "skip",
-    engine: str = "auto",
     stats: Optional[ParseStats] = None,
     workers: int = 1,
 ) -> Iterator[RecordBatch]:
@@ -442,14 +390,13 @@ def read_flow_batches(
         ``"propagate"`` (keep rows whose byte/packet counts are non-finite
         so they surface as NaN cells downstream; structurally broken rows
         are still skipped).
-    engine:
-        ``"auto"`` | ``"numpy"`` | ``"pandas"``.
     stats:
         A :class:`ParseStats` mutated in place as batches are drawn.
     workers:
         Parse processes.  ``1`` (default) parses inline; ``> 1`` fans
-        blocks out to a process pool (numpy engine only) — batch order,
-        stats, and byte-parity are identical to the serial pass.
+        blocks out to a process pool with at most ``2 * workers`` blocks
+        in flight — batch order, stats, and byte-parity are identical to
+        the serial pass.
     """
     require(batch_rows >= 1, "batch_rows must be >= 1")
     require(on_bad_row in BAD_ROW_POLICIES,
@@ -457,14 +404,9 @@ def read_flow_batches(
     require(workers >= 1, "workers must be >= 1")
     if stats is None:
         stats = ParseStats()
-    stats.engine = _resolve_engine(engine)
     path_list = [paths] if isinstance(paths, (str, bytes)) else list(paths)
     require(len(path_list) >= 1, "at least one path is required")
-    if stats.engine == "pandas":  # pragma: no cover - needs pandas
-        for path in path_list:
-            yield from _read_batches_pandas(path, batch_rows, on_bad_row,
-                                            stats)
-        return
-    for path in path_list:
-        yield from _read_batches_numpy(path, batch_rows, on_bad_row,
-                                       stats, workers=workers)
+    blocks = itertools.chain.from_iterable(
+        _iter_line_blocks(path, batch_rows) for path in path_list)
+    yield from _drain_parsed(_parse_blocks(blocks, on_bad_row, workers),
+                             stats)

@@ -56,11 +56,10 @@ class IngestConfig:
     on_bad_row:
         Dirty-row policy: ``"skip"`` | ``"raise"`` | ``"propagate"``
         (see :func:`repro.ingest.csv_io.read_flow_batches`).
-    engine:
-        Parser engine: ``"auto"`` | ``"numpy"`` | ``"pandas"``.
     parse_workers:
         Parse processes; ``1`` parses inline, ``> 1`` fans batches out to
-        a process pool (multi-core boxes) with identical output.
+        a process pool (multi-core boxes) with identical output and at
+        most ``2 * parse_workers`` batches in flight.
     sampling:
         The :class:`SamplingConfig` the export was produced under, if
         any.  Byte/packet counts are multiplied by the inverse sampling
@@ -76,7 +75,6 @@ class IngestConfig:
     lateness_bins: int = 1
     batch_rows: int = 8192
     on_bad_row: str = "skip"
-    engine: str = "auto"
     parse_workers: int = 1
     sampling: Optional[SamplingConfig] = None
 
@@ -238,7 +236,7 @@ class FlowCsvSource:
 
         for batch in read_flow_batches(
                 self._paths, batch_rows=config.batch_rows,
-                on_bad_row=config.on_bad_row, engine=config.engine,
-                stats=parse_stats, workers=config.parse_workers):
+                on_bad_row=config.on_bad_row, stats=parse_stats,
+                workers=config.parse_workers):
             yield from account(binner.add_batch(batch))
         yield from account(binner.finish())

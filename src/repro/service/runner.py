@@ -50,7 +50,7 @@ from repro.streaming.checkpoint import (has_checkpoint, load_checkpoint,
 from repro.streaming.config import StreamingConfig
 from repro.streaming.pipeline import (StreamingNetworkDetector,
                                       StreamingReport)
-from repro.streaming.sources import IterableChunkSource, as_chunk_source
+from repro.streaming.sources import as_chunk_source
 from repro.telemetry import MetricsRegistry
 from repro.utils.validation import require
 
@@ -240,12 +240,10 @@ class DetectionService:
         """Consume *source* until exhaustion or a stop signal.
 
         *source* is anything :func:`~repro.streaming.sources.as_chunk_source`
-        accepts.  A source with real suffix replay (every provided
-        :class:`~repro.streaming.sources.ChunkSource`) is positioned
-        automatically at :attr:`resume_bin` via ``source.resume(...)``, so
-        callers hand the service the **full** stream; a plain iterable must
-        already be the correctly aligned suffix (the pre-protocol contract —
-        the alignment check below still enforces it).
+        accepts.  It is positioned at :attr:`resume_bin` via
+        ``source.resume(...)``, so callers hand the service the **full**
+        stream (a plain iterable may also be the suffix: its ``resume``
+        only drops chunks that end at or before :attr:`resume_bin`).
 
         Graceful-shutdown sequence on a stop: finish the in-flight chunk,
         write a checkpoint, flush the store and the sinks, return.  On a
@@ -259,10 +257,7 @@ class DetectionService:
         try:
             if not self._detector.finished:
                 expected = self.resume_bin
-                if expected and not isinstance(source, IterableChunkSource):
-                    # Replayable sources are positioned here; bare iterables
-                    # keep the old contract (caller feeds the suffix) and
-                    # are only checked for alignment.
+                if expected:
                     source = source.resume(expected)
                 for n_chunks, chunk in enumerate(source, start=1):
                     require(chunk.start_bin == expected,

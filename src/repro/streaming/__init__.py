@@ -11,10 +11,10 @@ detects in one shot; this package turns that into an online system:
    fixed-size chunks of timebins, projects them against the current
    subspace snapshot, applies the SPE / T² control limits, and recalibrates
    on a configurable cadence;
-3. :mod:`repro.streaming.sources` adapts in-memory
-   :class:`~repro.flows.timeseries.TrafficMatrixSeries` (and, via
-   :mod:`repro.datasets.streaming`, unbounded synthetic generators) into
-   chunked feeds;
+3. :mod:`repro.streaming.sources` defines the resumable ``ChunkSource``
+   feed every driver consumes — :func:`chunk_series` over an in-memory
+   series, plus synthetic and CSV sources — all cutting chunks by one
+   rule (:func:`~repro.streaming.sources.chunk_end`);
 4. :class:`~repro.streaming.aggregator.OnlineEventAggregator` fuses
    per-type detections into :class:`~repro.core.events.AnomalyEvent`s
    incrementally with bounded memory, matching the batch

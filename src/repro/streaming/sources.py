@@ -15,9 +15,10 @@ by :func:`as_chunk_source`:
 
 Concrete sources provided here:
 
-* :func:`chunk_series` / :class:`ChunkedSeriesSource` replay an in-memory
-  :class:`~repro.flows.timeseries.TrafficMatrixSeries` as zero-copy chunks
-  (the bridge from every existing dataset to the streaming pipeline);
+* :class:`ChunkedSeriesSource` (built by :func:`chunk_series`) replays an
+  in-memory :class:`~repro.flows.timeseries.TrafficMatrixSeries` as
+  zero-copy chunks (the bridge from every existing dataset to the
+  streaming pipeline);
 * :class:`AsyncChunkSource` bridges an :mod:`asyncio` producer (a collector
   polling routers, a network receive loop) to the synchronous detection
   drivers, with bounded backpressure and explicit watermarks;
@@ -106,15 +107,26 @@ class TrafficChunk:
             raise KeyError(f"traffic type {traffic_type!r} not in chunk") from None
 
 
-def chunk_series(series: TrafficMatrixSeries, chunk_size: int,
-                 start_bin: int = 0) -> Iterator[TrafficChunk]:
+def chunk_end(start_bin: int, chunk_size: int,
+              stop: Optional[int] = None) -> int:
+    """Exclusive end of the chunk that holds bin *start_bin*.
+
+    Chunk boundaries are fixed multiples of *chunk_size*, capped at the
+    stream end *stop* (``None``: open-ended), so a stream resumed at any
+    bin emits exactly the chunks an uninterrupted run emits from there.
+    """
+    end = (start_bin // chunk_size + 1) * chunk_size
+    return end if stop is None else min(stop, end)
+
+
+def chunk_series(series: TrafficMatrixSeries,
+                 chunk_size: int) -> "ChunkedSeriesSource":
     """Replay *series* as consecutive zero-copy :class:`TrafficChunk`s.
 
-    *start_bin* offsets the reported stream-global indices (useful when a
-    series is one block of a longer stream).
+    Returns a :class:`ChunkedSeriesSource`: re-iterable, and resumable at
+    any bin with ``chunk_series(series, n).resume(start_bin)``.
     """
-    for local_start, matrices in series.iter_chunks(chunk_size):
-        yield TrafficChunk(start_bin=start_bin + local_start, matrices=matrices)
+    return ChunkedSeriesSource(series, chunk_size)
 
 
 @runtime_checkable
@@ -175,32 +187,33 @@ class IterableChunkSource:
         return IterableChunkSource(suffix())
 
 
-def as_chunk_source(source, parameter: str = "source") -> "ChunkSource":
+def as_chunk_source(source) -> "ChunkSource":
     """Normalize any accepted feed shape to a :class:`ChunkSource`.
 
     The single adapter behind every driver's ``source=`` parameter:
     protocol-conforming sources pass through and plain iterables are
     wrapped; anything else raises :class:`TypeError`.
     """
-    require(source is not None, f"{parameter} must not be None")
+    require(source is not None, "source must not be None")
     if isinstance(source, ChunkSource):
         return source
     if isinstance(source, Iterable):
         return IterableChunkSource(source)
     raise TypeError(
-        f"{parameter} must be a ChunkSource or an iterable of TrafficChunk; "
+        f"source must be a ChunkSource or an iterable of TrafficChunk; "
         f"got {type(source).__name__}")
 
 
 class ChunkedSeriesSource:
     """Re-iterable chunked view of a :class:`TrafficMatrixSeries`.
 
-    Unlike the one-shot generator :func:`chunk_series`, the source can be
-    iterated multiple times — which is what the two-pass replay harness in
-    :mod:`repro.streaming.pipeline` needs — and it implements the
-    :class:`ChunkSource` protocol: :meth:`resume` replays the suffix of
-    the stream from any bin, preserving the original chunk boundaries
-    (the resume path of a checkpoint-restored detector).
+    The source can be iterated multiple times — which is what the
+    two-pass replay harness in :mod:`repro.streaming.pipeline` needs — and
+    it implements the :class:`ChunkSource` protocol: :meth:`resume`
+    replays the suffix of the stream from any bin, preserving the original
+    chunk boundaries (the resume path of a checkpoint-restored detector).
+    Chunk rows are views of the series matrices; callers must not mutate
+    them.
     """
 
     def __init__(self, series: TrafficMatrixSeries, chunk_size: int) -> None:
@@ -241,23 +254,11 @@ class ChunkedSeriesSource:
         clone._resume_bin = int(start_bin)
         return clone
 
-    def __len__(self) -> int:
-        n_chunks = 0
-        local = self._resume_bin
-        while local < self._series.n_bins:
-            local = (local // self._chunk_size + 1) * self._chunk_size
-            n_chunks += 1
-        return n_chunks
-
     def __iter__(self) -> Iterator[TrafficChunk]:
         n_bins = self._series.n_bins
         local = self._resume_bin
         while local < n_bins:
-            # Chunk boundaries are fixed multiples of chunk_size, so a
-            # mid-stream resume emits the identical chunks an uninterrupted
-            # iteration would from that point on.
-            stop = min(n_bins, (local // self._chunk_size + 1)
-                       * self._chunk_size)
+            stop = chunk_end(local, self._chunk_size, n_bins)
             yield TrafficChunk(
                 start_bin=local,
                 matrices={t: self._series.matrix(t)[local:stop, :]

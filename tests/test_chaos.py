@@ -55,9 +55,9 @@ class TestCheckpointCorruption:
         """Feed chunks into *detector*, persisting closed events to *store*."""
         detector.on_events = lambda events: store.add_events(events)
         start_bin = detector.report.n_bins_processed
-        for index, chunk in enumerate(chunk_series(
-                series.window(start_bin, series.n_bins), CHUNK,
-                start_bin=start_bin), start=first_chunk):
+        for index, chunk in enumerate(
+                chunk_series(series, CHUNK).resume(start_bin),
+                start=first_chunk):
             detector.process_chunk(chunk)
             if (checkpoint_every is not None
                     and (index + 1) % checkpoint_every == 0):

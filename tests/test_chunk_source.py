@@ -79,13 +79,51 @@ class TestProtocol:
             as_chunk_source(None)
 
 
+def _assert_resumes_at_every_boundary(source):
+    """``source.resume(k)`` is the uninterrupted suffix for every chunk
+    boundary ``k``, the stream end included; returns the full chunk list."""
+    full = list(source)
+    for k in [c.start_bin for c in full] + [full[-1].end_bin]:
+        resumed = list(source.resume(k))
+        suffix = [c for c in full if c.start_bin >= k]
+        assert [c.start_bin for c in resumed] \
+            == [c.start_bin for c in suffix], k
+        for a, b in zip(resumed, suffix):
+            assert _chunks_equal(a, b), k
+    return full
+
+
 class TestResume:
-    def test_series_source_resume_reproduces_the_suffix(self, clean_series):
+    def test_series_source_resume_reproduces_the_suffix(self, clean_series,
+                                                        abilene, tmp_path):
+        from repro.ingest import FlowCsvSource, IngestConfig
+        from repro.ingest.parity import export_series_records
+
         full = list(ChunkedSeriesSource(clean_series, CHUNK))
         resumed = list(ChunkedSeriesSource(clean_series, CHUNK).resume(64))
         assert len(resumed) == len(full) - 2
         for a, b in zip(resumed, full[2:]):
             assert _chunks_equal(a, b)
+
+        # A chunk size that does not divide the series: the short tail
+        # chunk survives every resume.
+        assert clean_series.n_bins % 40
+        for chunk_size in (CHUNK, 40):
+            chunks = _assert_resumes_at_every_boundary(
+                ChunkedSeriesSource(clean_series, chunk_size))
+            assert chunks[-1].end_bin == clean_series.n_bins
+
+        # The same rule on the CSV ingest path, over an export of the series.
+        window = clean_series.window(0, 100)
+        path = tmp_path / "flows.csv"
+        export_series_records(window, abilene, path, seed=1,
+                              max_flows_per_cell=1)
+        for chunk_size in (CHUNK, 40):
+            chunks = _assert_resumes_at_every_boundary(FlowCsvSource(
+                str(path), network=abilene,
+                config=IngestConfig(chunk_size=chunk_size, n_bins=100)))
+            assert [c.start_bin for c in chunks] \
+                == list(range(0, 100, chunk_size))
 
     def test_synthetic_source_resume_reproduces_the_suffix(self):
         source = SyntheticChunkSource(
@@ -98,6 +136,15 @@ class TestResume:
         for a, b in zip(resumed, full[3:]):
             assert _chunks_equal(a, b)
 
+        # 72-bin blocks cut into 40-bin chunks: boundaries restart at each
+        # block edge, and a resume exactly at the edge (bin 72) replays the
+        # second block from its start.
+        block = DatasetConfig(weeks=0.25 / 7.0, schedule=None)
+        assert block.n_bins == 72
+        chunks = _assert_resumes_at_every_boundary(SyntheticChunkSource(
+            chunk_size=40, block_config=block, seed=3, max_blocks=2))
+        assert [c.start_bin for c in chunks] == [0, 40, 72, 112]
+
     def test_iterable_source_resume_skips_forward_only(self, clean_series):
         chunks = list(ChunkedSeriesSource(clean_series, CHUNK))
         resumed = list(IterableChunkSource(chunks).resume(64))
@@ -108,8 +155,9 @@ class TestResume:
 
 
 class TestServiceAutoResume:
-    def test_restarted_service_positions_a_resumable_source(
-            self, clean_series, tmp_path):
+    def _interrupted_run(self, clean_series, tmp_path):
+        """The uninterrupted digest, and a store + checkpoint of a run
+        stopped after four chunks."""
         source = ChunkedSeriesSource(clean_series, CHUNK)
         chunks = list(source)
 
@@ -136,12 +184,29 @@ class TestServiceAutoResume:
         assert result.interrupted
         assert first.resume_bin == 4 * CHUNK
         first.close()
+        return expected_digest, store_path, checkpoint_dir
 
+    def test_restarted_service_positions_a_resumable_source(
+            self, clean_series, tmp_path):
+        expected_digest, store_path, checkpoint_dir = self._interrupted_run(
+            clean_series, tmp_path)
         # The restarted service gets the FULL stream and positions the
         # resumable source itself — callers no longer slice suffixes.
         second = DetectionService(CONFIG, store=EventStore(store_path),
                                   checkpoint_dir=checkpoint_dir)
         assert second.resume_bin == 4 * CHUNK
         second.run(ChunkedSeriesSource(clean_series, CHUNK))
+        assert second.store.table_digest() == expected_digest
+        second.close()
+
+    def test_restarted_service_positions_a_full_plain_list(
+            self, clean_series, tmp_path):
+        expected_digest, store_path, checkpoint_dir = self._interrupted_run(
+            clean_series, tmp_path)
+        # A plain list is positioned too: its resume drops the chunks the
+        # checkpoint already covers.
+        second = DetectionService(CONFIG, store=EventStore(store_path),
+                                  checkpoint_dir=checkpoint_dir)
+        second.run(list(ChunkedSeriesSource(clean_series, CHUNK)))
         assert second.store.table_digest() == expected_digest
         second.close()

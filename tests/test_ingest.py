@@ -47,7 +47,6 @@ class TestExportRoundTrip:
         records = _records()
         assert export_flow_csv(records, path) == len(records)
         batches, stats = _read_all(str(path))
-        assert stats.engine == "numpy"
         assert stats.records == len(records)
         assert stats.bad_rows == 0
         assert stats.header_rows == 1
@@ -128,25 +127,11 @@ class TestDirtyDataPolicies:
         with pytest.raises(ValueError):
             list(read_flow_batches(str(path), on_bad_row="ignore"))
         with pytest.raises(ValueError):
-            list(read_flow_batches(str(path), engine="polars"))
-        with pytest.raises(ValueError):
             list(read_flow_batches(str(path), batch_rows=0))
         with pytest.raises(ValueError):
             list(read_flow_batches(str(path), workers=0))
         with pytest.raises(ValueError):
             list(read_flow_batches([]))
-
-    def test_pandas_engine_requires_pandas(self, tmp_path):
-        try:
-            import pandas  # noqa: F401
-            pytest.skip("pandas installed; the missing-engine error "
-                        "cannot fire")
-        except ImportError:
-            pass
-        path = tmp_path / "x.csv"
-        path.write_text("")
-        with pytest.raises(RuntimeError, match="pandas is not installed"):
-            list(read_flow_batches(str(path), engine="pandas"))
 
 
 class TestParallelParse:
@@ -175,6 +160,38 @@ class TestParallelParse:
                                   equal_nan=column.dtype.kind == "f"), name
         assert serial_stats == parallel_stats
 
+    def test_workers_bound_the_blocks_in_flight(self, tmp_path, monkeypatch):
+        # The pool must not read the export ahead of the consumer: when the
+        # first batch comes out, at most 2 x workers blocks are in flight
+        # (plus the one just read).
+        from repro.ingest import csv_io
+
+        path = tmp_path / "long.csv"
+        export_flow_csv(
+            [FlowRecord(FiveTuple(i + 1, 2 * i + 1, 1000, 80, 6),
+                        float(i), float(i) + 0.5, 100.0, 1.0)
+             for i in range(2000)],
+            path)
+        blocks_read = []
+        line_blocks = csv_io._iter_line_blocks
+
+        def counting(path, batch_rows):
+            for lines in line_blocks(path, batch_rows):
+                blocks_read.append(len(lines))
+                yield lines
+
+        monkeypatch.setattr(csv_io, "_iter_line_blocks", counting)
+        workers = 2
+        stats = ParseStats()
+        batches = read_flow_batches(str(path), batch_rows=4, stats=stats,
+                                    workers=workers)
+        next(batches)
+        assert len(blocks_read) <= 2 * workers + 1
+        for _ in batches:
+            pass
+        assert len(blocks_read) > 10 * workers
+        assert stats.records == sum(blocks_read) - 1  # minus the header
+
     def test_workers_agree_on_dirty_input(self):
         _, serial = _read_all(FIXTURE, batch_rows=2)
         _, parallel = _read_all(FIXTURE, batch_rows=2, workers=2)
@@ -190,17 +207,6 @@ class TestParallelParse:
         for name, column in self._flatten(small).items():
             assert np.array_equal(column, self._flatten(big)[name]), name
         assert small_stats == big_stats
-
-
-def test_parse_stats_merge_sums_counters():
-    left = ParseStats(rows=3, records=2, bad_rows=1, header_rows=1,
-                      propagated_rows=0, engine="numpy")
-    right = ParseStats(rows=5, records=5, bad_rows=0, header_rows=1,
-                       propagated_rows=2, engine="")
-    merged = left.merge(right)
-    assert merged == ParseStats(rows=8, records=7, bad_rows=1,
-                                header_rows=2, propagated_rows=2,
-                                engine="numpy")
 
 
 def test_nan_start_time_is_structurally_bad(tmp_path):

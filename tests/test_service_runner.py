@@ -11,7 +11,7 @@ import signal
 
 import pytest
 
-from repro.datasets.streaming import synthetic_chunk_stream
+from repro.datasets.streaming import SyntheticChunkSource
 from repro.datasets.synthetic import DatasetConfig
 from repro.service import (AlertDispatcher, AlertSink, DetectionService,
                            EventStore)
@@ -31,7 +31,7 @@ def service_config():
 @pytest.fixture(scope="module")
 def week_chunks():
     """The synthetic Abilene week, materialized once per module."""
-    return list(synthetic_chunk_stream(
+    return list(SyntheticChunkSource(
         chunk_size=CHUNK,
         block_config=DatasetConfig(weeks=1.0 / 7.0),
         seed=SEED,

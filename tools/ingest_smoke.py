@@ -11,7 +11,10 @@ would hit it:
    events versus aggregating the very same records in memory
    (:func:`repro.ingest.round_trip_check`);
 3. repeat with 1-in-2 packet sampling and inversion enabled;
-4. drive the real service CLI (``python -m repro.service --ingest-csv``)
+4. repeat the plain round trip with two parse worker processes
+   (``IngestConfig(parse_workers=2)``), so the pool's matrices and events
+   are held to the in-memory path too, not only its parsed batches;
+5. drive the real service CLI (``python -m repro.service --ingest-csv``)
    as a subprocess over the same export and require a clean, uneventful
    exit with every bin processed.
 
@@ -30,7 +33,7 @@ import tempfile
 
 from repro.datasets import DatasetConfig, generate_abilene_dataset
 from repro.flows.sampling import SamplingConfig
-from repro.ingest import round_trip_check
+from repro.ingest import IngestConfig, round_trip_check
 from repro.streaming import StreamingConfig
 from repro.topology import abilene_topology
 
@@ -72,6 +75,15 @@ def main() -> int:
             max_flows_per_cell=FLOWS_PER_CELL,
             sampling=SamplingConfig(sampling_rate=0.5),
             streaming_config=CONFIG))
+        # Small parse batches give the pool many more blocks than workers.
+        binning = series.binning
+        _check("workers", round_trip_check(
+            series, network, os.path.join(tmp, "workers.csv"), seed=SEED,
+            max_flows_per_cell=FLOWS_PER_CELL, streaming_config=CONFIG,
+            ingest_config=IngestConfig(
+                bin_seconds=binning.bin_seconds,
+                start_seconds=binning.start_seconds,
+                n_bins=binning.n_bins, batch_rows=1024, parse_workers=2)))
 
         # The same export must drive the real CLI end to end.
         process = subprocess.run(
