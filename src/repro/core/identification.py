@@ -10,7 +10,10 @@ it under threshold".  We implement that greedily:
 * for a T² detection, OD flows are removed in decreasing order of how much
   their removal reduces the T² value (removing flow ``f`` subtracts its
   contribution ``(x_f - mean_f)·v_{i,f}`` from every normal-subspace
-  score) until T² drops below its threshold.
+  score) until T² drops below its threshold.  Each round scores every
+  remaining candidate with one ``p x k`` array operation, so a round costs
+  ``O(p·k)``; :func:`t2_of_centered_row` is the per-candidate reference
+  the tests hold it to.
 
 Greedy removal is exactly the paper's procedure for SPE (contributions are
 additive there, so greedy = optimal); for T² it is the natural greedy
@@ -135,37 +138,48 @@ def identify_t2_flows(
     Works directly on the centered state vector of the flagged bin plus the
     normal-subspace description (axes, eigenvalues, sample count), removing
     the flow whose zeroing most reduces T² until it drops below *threshold*.
+
+    Zeroing flow ``j`` shifts the normal-subspace scores by ``x_j·V[j, :]``,
+    so one ``p x k`` array operation scores every candidate of a round;
+    each round returns what the per-candidate loop over
+    :func:`t2_of_centered_row` returns (ties go to the lowest index, and a
+    round whose best removal is not strictly lower stops the search).
     """
     centered_row = np.asarray(centered_row, dtype=float).ravel()
     n_features = centered_row.size
     cap = n_features if max_flows is None else min(max_flows, n_features)
+    k = normal_axes.shape[1]
+    lam = np.asarray(eigenvalues, dtype=float)[:k]
+    safe = np.where(lam > 0, lam, np.inf)
+    raw = T2Scaling(t2_scaling) is T2Scaling.RAW_EIGENFLOW
 
-    def value_after(removed: Sequence[int]) -> float:
-        return t2_of_centered_row(centered_row, normal_axes, eigenvalues,
-                                  n_samples, t2_scaling, removed)
+    def t2_values(scores: np.ndarray) -> np.ndarray:
+        # The oracle's expression, row-wise; ``current`` goes through it too
+        # so a flow whose removal changes nothing never looks 1 ulp better.
+        values = np.sum(scores**2 / safe, axis=1)
+        if raw:
+            values /= n_samples - 1
+        return values
 
+    scores = centered_row @ normal_axes
+    shifts = centered_row[:, np.newaxis] * normal_axes
+    current = float(t2_values(scores[np.newaxis, :])[0])
     identified: List[int] = []
-    remaining = list(range(n_features))
-    current = value_after(identified)
-    while current > threshold and len(identified) < cap and remaining:
-        best_flow = None
-        best_value = current
-        for flow_index in remaining:
-            candidate = value_after(identified + [flow_index])
-            if candidate < best_value:
-                best_value = candidate
-                best_flow = flow_index
-        if best_flow is None:
+    while current > threshold and len(identified) < cap:
+        trial = scores - shifts
+        values = t2_values(trial)
+        values[identified] = np.inf
+        best_flow = int(np.argmin(values))
+        if not values[best_flow] < current:
             # No single removal reduces the statistic further; stop.
             break
         identified.append(best_flow)
-        remaining.remove(best_flow)
-        current = best_value
+        scores = trial[best_flow]
+        current = float(values[best_flow])
     if not identified:
         # Fall back to the flow with the largest absolute centered value
         # weighted by the normal axes (largest score contribution).
-        contribution = np.sum((centered_row[:, np.newaxis] * normal_axes)**2, axis=1)
-        identified.append(int(np.argmax(contribution)))
+        identified.append(int(np.argmax(np.sum(shifts**2, axis=1))))
     return identified
 
 

@@ -16,8 +16,11 @@ with running first and second moments updated chunk by chunk:
   — ``O(p³)`` once per recalibration instead of ``O(n p²)`` per chunk for a
   full-history SVD — and cached until new data arrives.
 
-Cost per ingested chunk of ``m`` bins is ``O(m p²)`` (one rank-``m`` scatter
-update) with ``O(p²)`` memory, independent of the stream length ``n``.
+Cost per ingested chunk of ``m`` bins is ``O(m p²)`` with ``O(p²)`` memory,
+independent of the stream length ``n``: the chunk scatter and the
+mean-shift term enter the stored scatter as one fused rank-``(m+1)``
+product added in place (the chunk stacked over the mean shift, the rows of
+its left copy carrying the weights).
 
 The weighting/decay bookkeeping lives once in the :class:`_MomentTracker`
 base shared with the low-rank engine
@@ -211,32 +214,21 @@ class _MomentTracker:
             centered = np.empty_like(matrix)
             self._centered_scratch = centered
         np.subtract(matrix, chunk_mean, out=centered)
-        self._merge_weighted_chunk(
-            chunk_weight, chunk_weight_sq, chunk_mean, decay, decay_sq, m,
-            lambda delta, coefficient: self._apply_scatter_update(
-                centered, weights, delta, decay, coefficient))
-        return self
 
-    def _merge_weighted_chunk(self, chunk_weight: float,
-                              chunk_weight_sq: float, chunk_mean: np.ndarray,
-                              decay: float, decay_sq: float, n_bins: int,
-                              scatter_update) -> None:
-        """The pairwise Chan parallel-moments combine, applied in place.
-
-        :meth:`partial_fit` passes a raw chunk's weighted moments here;
-        *scatter_update* receives ``(delta, outer_coefficient)`` and must
-        fold the chunk scatter plus ``outer(delta, delta) * coefficient``
-        into the stored (decayed) scatter.
-        """
+        # The pairwise Chan parallel-moments combine, applied in place: the
+        # engine folds the chunk scatter plus ``outer(delta, delta)`` times
+        # the cross-weight coefficient into its (decayed) stored scatter.
         prior_weight = self._weight_sum * decay
         total_weight = prior_weight + chunk_weight
         delta = chunk_mean - self._mean
-        scatter_update(delta, prior_weight * chunk_weight / total_weight)
+        self._apply_scatter_update(centered, weights, delta, decay,
+                                   prior_weight * chunk_weight / total_weight)
         self._mean = self._mean + delta * (chunk_weight / total_weight)
         self._weight_sum = total_weight
         self._weight_sq_sum = self._weight_sq_sum * decay_sq + chunk_weight_sq
-        self._n_bins_seen += n_bins
+        self._n_bins_seen += m
         self._version += 1
+        return self
 
     def _initialize_scatter(self, n_features: int) -> None:
         raise NotImplementedError
@@ -245,6 +237,13 @@ class _MomentTracker:
                               weights: Optional[np.ndarray],
                               delta: np.ndarray, decay: float,
                               outer_coefficient: float) -> None:
+        """Fold ``Cᵀ diag(w) C + outer(delta, delta) * outer_coefficient``
+        into the stored scatter after decaying it by *decay*.
+
+        ``C`` is *centered* (the chunk minus its weighted mean; it may be a
+        reused scratch buffer, so it must not be kept past the call) and
+        ``w`` is *weights*, ``None`` meaning all ones.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
@@ -305,6 +304,10 @@ class OnlinePCA(_MomentTracker):
     def __init__(self, forgetting: float = 1.0) -> None:
         super().__init__(forgetting)
         self._scatter: Optional[np.ndarray] = None
+        # The ``(m+1) x p`` operands of the fused update, reused across
+        # chunks of the same shape (never serialized).
+        self._stacked: Optional[np.ndarray] = None
+        self._weighted: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # scatter storage
@@ -316,15 +319,24 @@ class OnlinePCA(_MomentTracker):
                               weights: Optional[np.ndarray],
                               delta: np.ndarray, decay: float,
                               outer_coefficient: float) -> None:
-        if weights is None:
-            chunk_scatter = centered.T @ centered
-        else:
-            chunk_scatter = (centered * weights[:, np.newaxis]).T @ centered
-        self._scatter = (
-            self._scatter * decay
-            + chunk_scatter
-            + np.outer(delta, delta) * outer_coefficient
-        )
+        # One rank-(m+1) product: stack the chunk over ``delta`` and weight
+        # the left copy's rows by the forgetting weights, its last row by the
+        # outer coefficient, so ``Sᵀ diag(w, c) S`` is the chunk scatter plus
+        # the mean-shift term, added into the scatter in place.
+        m, p = centered.shape
+        stacked, weighted = self._stacked, self._weighted
+        if stacked is None or stacked.shape != (m + 1, p):
+            stacked = self._stacked = np.empty((m + 1, p))
+            weighted = self._weighted = np.empty((m + 1, p))
+        stacked[:m] = centered
+        stacked[m] = delta
+        row_weights = np.empty(m + 1)
+        row_weights[:m] = 1.0 if weights is None else weights
+        row_weights[m] = outer_coefficient
+        np.multiply(stacked, row_weights[:, np.newaxis], out=weighted)
+        if decay != 1.0:
+            self._scatter *= decay
+        self._scatter += weighted.T @ stacked
 
     # ------------------------------------------------------------------ #
     # derived quantities

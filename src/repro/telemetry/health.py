@@ -18,7 +18,7 @@ import os
 import time
 import uuid
 import warnings
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Dict, List, Mapping, Optional
 
 from repro.telemetry.registry import MetricsRegistry
@@ -121,7 +121,14 @@ class HealthSnapshot:
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
-        return {"version": SNAPSHOT_VERSION, **asdict(self)}
+        """The snapshot as a JSON-ready mapping.
+
+        Shallow: the nested dicts are the snapshot's own, not copies.
+        """
+        data: Dict[str, object] = {"version": SNAPSHOT_VERSION}
+        for f in dataclass_fields(self):
+            data[f.name] = getattr(self, f.name)
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "HealthSnapshot":
@@ -158,8 +165,11 @@ class HealthSnapshot:
             os.makedirs(directory, exist_ok=True)
         tmp_path = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
         try:
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump(self.to_dict(), handle, sort_keys=True)
+            # dumps, not dump: only the one-shot call takes the C encoder.
+            # The text is the same either way.
+            payload = json.dumps(self.to_dict(), sort_keys=True)
+            with open(tmp_path, "wb") as handle:
+                handle.write(payload.encode("utf-8"))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, path)

@@ -25,6 +25,7 @@ unchanged.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.utils.validation import require
@@ -139,15 +140,15 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # The first bucket whose edge is >= value; NaN compares false with
+        # every edge, so it lands in the +Inf bucket.
+        index = (bisect_left(self.bounds, value) if value == value
+                 else len(self.bounds))
         with self._lock:
             self.counts[index] += 1
             self.total += value
-            self.max = value if self.count == 0 else max(self.max, value)
+            if value > self.max or self.count == 0:
+                self.max = value
             self.count += 1
 
     @property
@@ -217,17 +218,30 @@ class MetricsRegistry:
         self._lock = threading.RLock()
         self._metrics: Dict[Tuple[str, _LabelsKey], object] = {}
         self._help: Dict[str, str] = {}
+        # Lookups as callers spell them: ``(name, labels.items())`` in the
+        # caller's order, for all-string labels only (so ``1`` and ``True``
+        # cannot alias).  Instrumentation asks for the same few metrics on
+        # every chunk; a hit skips canonicalization and the lock.
+        self._by_call: Dict[Tuple[str, Tuple], object] = {}
 
     # ------------------------------------------------------------------ #
     # accessors (get-or-create)
     # ------------------------------------------------------------------ #
     def _get_or_create(self, name: str, labels, kind: str, factory):
+        try:
+            call_key = (name, tuple(labels.items()) if labels else ())
+            metric = self._by_call.get(call_key)
+        except TypeError:  # an unhashable label value
+            call_key = metric = None
+        if metric is not None and metric.kind == kind:
+            return metric
         key = (name, _labels_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
                 for (other_name, _), other in self._metrics.items():
-                    require(other_name != name or other.kind == kind,
+                    if other_name == name and other.kind != kind:
+                        raise ValueError(
                             f"metric {name!r} already registered as a "
                             f"{other.kind}, not a {kind}")
                 metric = factory()
@@ -235,6 +249,10 @@ class MetricsRegistry:
             require(metric.kind == kind,
                     f"metric {name!r} already registered as a "
                     f"{metric.kind}, not a {kind}")
+            if call_key is not None and all(
+                    isinstance(part, str) for pair in call_key[1]
+                    for part in pair):
+                self._by_call[call_key] = metric
             return metric
 
     def counter(self, name: str,
@@ -264,9 +282,10 @@ class MetricsRegistry:
             self._help.setdefault(name, help)
         histogram = self._get_or_create(name, labels, "histogram",
                                         lambda: Histogram(self._lock, bounds))
-        require(histogram.bounds == tuple(float(b) for b in bounds),
-                f"histogram {name!r} already registered with different "
-                f"bucket bounds")
+        if not (type(bounds) is tuple and bounds == histogram.bounds):
+            require(histogram.bounds == tuple(float(b) for b in bounds),
+                    f"histogram {name!r} already registered with different "
+                    f"bucket bounds")
         return histogram
 
     # ------------------------------------------------------------------ #

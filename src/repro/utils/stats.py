@@ -8,10 +8,17 @@ This module implements the two threshold statistics the paper relies on:
   normal subspace.
 
 Both are exposed as plain functions so that they can be unit-tested in
-isolation and reused by baselines and ablations.
+isolation and reused by baselines and ablations.  The two distribution
+quantiles behind them are pure and memoised per argument tuple: every
+recalibration asks for the same confidence, and for a ``(k, n)`` pair
+already seen whenever the effective sample count repeats (forgetting
+streams, repeated passes, the batch experiments).  A call that fails
+validation raises every time, since exceptions are never cached.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -27,12 +34,14 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=1024)
 def normal_quantile(confidence: float) -> float:
     """Return the standard-normal quantile at *confidence* (e.g. 0.999)."""
     ensure_probability(confidence, "confidence")
     return float(_scipy_stats.norm.ppf(confidence))
 
 
+@lru_cache(maxsize=1024)
 def f_quantile(dfn: int, dfd: int, confidence: float) -> float:
     """Return the F-distribution quantile with *dfn*, *dfd* degrees of freedom."""
     require(dfn >= 1, "dfn must be >= 1")

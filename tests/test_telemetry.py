@@ -8,7 +8,9 @@ order-independent metric kinds (counters and histograms; a gauge keeps
 the newer side, so its merge depends on the order).
 """
 
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -134,6 +136,40 @@ class TestRegistryBasics:
         assert histogram.mean == pytest.approx(106.7 / 5)
         assert histogram.quantile(0.5) == 2.0
         assert histogram.quantile(1.0) == 4.0  # overflow reports last edge
+
+    def test_histogram_bucket_edges_and_nan(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", bounds=(1.0, 2.0, 4.0))
+        for value in (1.0, 2.0, 4.0, 4.0000001, -3.0):
+            histogram.observe(value)
+        # A value on an edge belongs to the bucket that edge closes.
+        assert histogram.counts == [2, 1, 1, 1]
+        # NaN compares false with every edge: it counts in +Inf.
+        histogram.observe(float("nan"))
+        assert histogram.counts == [2, 1, 1, 2]
+        assert histogram.count == 6
+
+    def test_repeated_lookups_keep_identity_and_schema_checks(self):
+        registry = MetricsRegistry()
+        first = registry.counter("c", {"a": "1", "b": "2"})
+        assert registry.counter("c", {"a": "1", "b": "2"}) is first
+        assert registry.counter("c", {"b": "2", "a": "1"}) is first
+        # Labels are stringified: 1 and "1" name one metric, True another.
+        one = registry.gauge("g", {"x": 1})
+        assert registry.gauge("g", {"x": "1"}) is one
+        assert registry.gauge("g", {"x": True}) is not one
+        assert registry.gauge("g", {"x": 1}) is one
+        # A cached hit still enforces one kind and one bucket layout.
+        histogram = registry.histogram("h", {"s": "x"}, bounds=(1.0, 2.0))
+        assert registry.histogram("h", {"s": "x"}, bounds=(1, 2)) is histogram
+        assert registry.histogram("h", {"s": "x"},
+                                  bounds=[1.0, 2.0]) is histogram
+        with pytest.raises(ValueError, match="bucket bounds"):
+            registry.histogram("h", {"s": "x"}, bounds=(1.0, 3.0))
+        with pytest.raises(ValueError, match="already registered"):
+            registry.counter("h", {"s": "x"})
+        with pytest.raises(ValueError, match="already registered"):
+            registry.gauge("c", {"a": "1", "b": "2"})
 
     def test_histogram_keeps_an_exact_max(self):
         registry = MetricsRegistry()
@@ -326,6 +362,14 @@ class TestHealthSnapshot:
         assert loaded.registry().to_dict() \
             == self._populated_registry().to_dict()
 
+    def test_written_text_is_the_sorted_json_of_every_field(self, tmp_path):
+        snapshot = HealthSnapshot.from_registry(self._populated_registry())
+        path = tmp_path / "health.json"
+        snapshot.write(str(path))
+        expected = json.dumps({"version": 1, **dataclasses.asdict(snapshot)},
+                              sort_keys=True)
+        assert path.read_text(encoding="utf-8") == expected
+
     def test_status_table_renders_headlines(self):
         snapshot = HealthSnapshot.from_registry(self._populated_registry())
         table = render_status_table(snapshot)
@@ -450,7 +494,9 @@ class TestSnapshotWriteRaces:
     def test_failed_write_cleans_its_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "health.json"
         snapshot = self._snapshot()
-        monkeypatch.setattr(json, "dump",
+        # Fail after the temp file holds the payload, before the rename;
+        # fsync is reached whatever JSON encoder wrote the text.
+        monkeypatch.setattr(os, "fsync",
                             lambda *a, **k: (_ for _ in ()).throw(
                                 OSError("disk full")))
         with pytest.raises(OSError):

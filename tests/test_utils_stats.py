@@ -44,6 +44,33 @@ class TestFQuantile:
             f_quantile(10, 0, 0.99)
 
 
+class TestQuantileMemo:
+    def test_repeat_calls_hit_the_cache(self):
+        normal_quantile(0.9995)
+        f_quantile(4, 1234, 0.9995)
+        normal_hits = normal_quantile.cache_info().hits
+        f_hits = f_quantile.cache_info().hits
+        assert normal_quantile(0.9995) == float(scipy_stats.norm.ppf(0.9995))
+        assert f_quantile(4, 1234, 0.9995) == float(
+            scipy_stats.f.ppf(0.9995, 4, 1234))
+        assert normal_quantile.cache_info().hits == normal_hits + 1
+        assert f_quantile.cache_info().hits == f_hits + 1
+
+    def test_invalid_arguments_raise_after_a_valid_call_is_cached(self):
+        # Exceptions are never cached: validation runs for every new
+        # argument tuple, and again for every repeat of a bad one.
+        normal_quantile(0.99)
+        f_quantile(4, 100, 0.99)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                normal_quantile(1.5)
+            with pytest.raises(ValueError):
+                f_quantile(4, 100, 1.5)
+            with pytest.raises(ValueError):
+                f_quantile(4, 0, 0.99)
+        assert normal_quantile(0.99) == float(scipy_stats.norm.ppf(0.99))
+
+
 class TestTSquaredThreshold:
     def test_formula_matches_definition(self):
         k, n, conf = 4, 2016, 0.999
